@@ -100,9 +100,9 @@ DATASETS (for --dataset):
 Omitting --eps derives it from the k-distance knee (Schubert et al. 2017);
 omitting --min-pts uses a cardinality-based default.
 
-fit --threads N fans the per-round support-vector range queries and the SMO
-kernel rows across N worker threads (0 = all cores, the default; 1 = the
-sequential code path). Labels, stats, and traces are identical at every N.
+fit --threads N fans the per-round support-vector range queries across N
+worker threads (0 = all cores, the default; 1 = the sequential code path).
+Labels, stats, and traces are identical at every N.
 fit --cold-start disables the warm-started incremental SMO solver (cross-round
 alpha reuse + active-set shrinking); labels are identical either way.
 

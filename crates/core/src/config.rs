@@ -18,10 +18,10 @@ pub enum NuStrategy {
 
 /// Thread budget for the parallel fit path.
 ///
-/// Three fit stages fan out across scoped threads against shared immutable
-/// state: the per-round batch of range queries on core support vectors,
-/// the SMO solver's kernel-row computation, and (via
-/// `dbsvec_index::k_distance_profile_threaded`) the k-dist parameter scan.
+/// Two fit stages fan out across scoped threads against shared immutable
+/// state: the per-round batch of range queries on core support vectors
+/// and (via `dbsvec_index::k_distance_profile_threaded`) the k-dist
+/// parameter scan.
 /// Results are **bit identical at every thread count** — workers only
 /// evaluate pure functions, and all state mutation replays on the driving
 /// thread in deterministic order. `threads == 1` is the escape hatch that
@@ -132,13 +132,11 @@ pub struct DbsvecConfig {
     /// Kernel width selection (§IV-B.2). `RandomRange` reproduces
     /// `DBSVEC\OK`.
     pub kernel_width: KernelWidthStrategy,
-    /// SMO solver options. The solver's `threads` field is overridden by
-    /// [`DbsvecConfig::parallel`] during a fit, so one knob drives the
-    /// whole parallel path.
+    /// SMO solver options.
     pub smo: SmoOptions,
-    /// Thread budget for the parallel fit path (batched SV range queries
-    /// and SMO kernel rows). Defaults to all available cores; results are
-    /// identical at every setting.
+    /// Thread budget for the parallel fit path (batched SV range queries).
+    /// Defaults to all available cores; results are identical at every
+    /// setting.
     pub parallel: ParallelConfig,
     /// Core-candidate subsampling (default: `Exact`, the full fit).
     /// Seeding and support-vector expansion restrict themselves to the
@@ -258,9 +256,7 @@ impl DbsvecConfig {
 
     /// Escape hatch: disables both cross-round α warm starts and active-set
     /// shrinking, so every expansion round solves its SVDD from scratch the
-    /// way the pre-incremental solver did. (The σ-invariant distance-row
-    /// cache still persists across rounds — it reproduces kernel values
-    /// exactly, so there is nothing to opt out of.)
+    /// way the pre-incremental solver did.
     pub fn cold_start(mut self) -> Self {
         self.smo.warm_start = false;
         self.smo.shrinking = false;

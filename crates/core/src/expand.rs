@@ -40,7 +40,7 @@ pub(crate) fn sv_expand_cluster<I: RangeIndex + Sync>(
     let mut target = IncrementalTarget::new(threshold);
     target.add_new(&initial_members);
     // One solver session per sub-cluster: consecutive rounds reuse the
-    // previous α (warm start) and the σ-invariant distance rows.
+    // previous α (warm start).
     let mut session = SolverSession::new();
 
     state.obs.span_enter(Phase::SvExpand);
@@ -180,12 +180,8 @@ fn train_svdd<I: RangeIndex>(
     let nu = state.config.resolve_nu(state.points.dims(), ids.len());
     let c = nu_to_c(nu, ids.len());
 
-    // One knob drives the whole parallel path: the fit's resolved thread
-    // budget overrides whatever the SMO options carried.
-    let mut smo = state.config.smo;
-    smo.threads = state.threads;
     let problem = SvddProblem::new(state.points, ids, kernel)
-        .with_options(smo)
+        .with_options(state.config.smo)
         .with_session(session);
     if state.config.weighted {
         let weights = penalty_weights(

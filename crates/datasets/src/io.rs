@@ -62,7 +62,8 @@ pub fn write_csv(path: &Path, points: &PointSet, labels: Option<&[Option<u32>]>)
 ///
 /// # Errors
 ///
-/// Returns `InvalidData` on malformed rows or an empty file.
+/// Returns `InvalidData` on malformed rows, non-finite coordinates
+/// (`NaN`, `inf`), or an empty file.
 pub fn read_csv(path: &Path) -> io::Result<(PointSet, Option<Vec<Option<u32>>>)> {
     let reader = BufReader::new(File::open(path)?);
     let mut lines = reader.lines();
@@ -99,12 +100,22 @@ pub fn read_csv(path: &Path) -> io::Result<(PointSet, Option<Vec<Option<u32>>>)>
                     format!("line {}: missing column {d}", lineno + 2),
                 )
             })?;
-            *slot = field.trim().parse().map_err(|e| {
+            let value: f64 = field.trim().parse().map_err(|e| {
                 io::Error::new(
                     io::ErrorKind::InvalidData,
                     format!("line {}: bad number {field:?}: {e}", lineno + 2),
                 )
             })?;
+            if !value.is_finite() {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!(
+                        "line {}, column {d}: non-finite coordinate {field:?}",
+                        lineno + 2
+                    ),
+                ));
+            }
+            *slot = value;
         }
         points.push(&row);
         if has_labels {
@@ -166,6 +177,19 @@ mod tests {
         let err = read_csv(&path).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn non_finite_coordinates_are_invalid_data() {
+        for (name, row, column) in [("nan", "NaN,2.0", 0), ("inf", "1.0,-inf", 1)] {
+            let path = tempfile(&format!("{name}.csv"));
+            std::fs::write(&path, format!("x0,x1\n0.5,0.5\n{row}\n")).unwrap();
+            let err = read_csv(&path).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{name}");
+            let msg = err.to_string();
+            assert!(msg.contains(&format!("line 3, column {column}")), "{msg}");
+            std::fs::remove_file(&path).ok();
+        }
     }
 
     #[test]

@@ -77,9 +77,9 @@ pub enum Event {
         target_size: usize,
         /// SMO iterations to convergence.
         iterations: usize,
-        /// Distance-row cache hits during the solve.
+        /// Kernel-row reads served from the solve's row slab.
         cache_hits: u64,
-        /// Distance-row cache misses during the solve.
+        /// Kernel-row reads that computed the row.
         cache_misses: u64,
         /// Whether the solve was seeded from the previous round's α.
         warm_started: bool,

@@ -148,6 +148,11 @@ fn row_from_json(v: &Json, dims: usize) -> Result<Vec<f64>, HttpError> {
     let mut row = Vec::with_capacity(arr.len());
     for item in arr {
         match item {
+            // The JSON parser reads an out-of-range literal such as
+            // `1e999` as ±∞; no index or engine path accepts it.
+            Json::Num(f) if !f.is_finite() => {
+                return Err(HttpError::BadBody(format!("non-finite coordinate: {f}")))
+            }
             Json::Num(f) => row.push(*f),
             Json::Int(i) => row.push(*i as f64),
             Json::UInt(u) => row.push(*u as f64),

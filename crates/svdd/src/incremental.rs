@@ -11,13 +11,12 @@
 //! formula (Eq. 7), which is why this type hands them out alongside the ids.
 //!
 //! [`SolverSession`] is the other half of the incremental story: it carries
-//! the solver state worth keeping *between* trainings of the same
-//! sub-cluster — the previous round's multipliers (for warm starts) and the
-//! σ-invariant squared-distance row cache.
+//! the previous training's multipliers of the same sub-cluster, the seed
+//! of the next solve's warm start.
+
+use std::collections::HashMap;
 
 use dbsvec_geometry::PointId;
-
-use crate::cache::{DistCacheStats, DistanceRowCache};
 
 /// The paper's recommended learning threshold (`T = 3`, §IV-B.1: values in
 /// 2–4 improve efficiency with negligible accuracy impact).
@@ -25,23 +24,19 @@ pub const DEFAULT_LEARNING_THRESHOLD: u32 = 3;
 
 /// Cross-round solver state for repeated SVDD trainings of one sub-cluster.
 ///
-/// A session owns two things that stay valid while the kernel width σ and
-/// the per-point box constraints change every round:
-///
-/// * the **squared-distance row cache** — distances don't depend on σ, so
-///   rows computed in round `k` serve round `k+1` unchanged;
-/// * the **last multipliers** per [`PointId`] — the warm-start seed. The
-///   solver projects them into the new box `[0, ω_i C]` and repairs
-///   `Σα = 1` before iterating.
+/// A session keeps the **previous solve's multipliers** by [`PointId`] — the
+/// warm-start seed. The solver projects them into the new box
+/// `[0, ω_i C]` and repairs `Σα = 1` before iterating. Kernel rows are not
+/// kept: σ changes every round, so each solve builds its own.
 ///
 /// Attach one to a [`crate::SvddProblem`] with
 /// [`crate::SvddProblem::with_session`]; without one the solver behaves as
 /// a cold, single-shot solve.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct SolverSession {
-    pub(crate) cache: DistanceRowCache,
-    /// Last solved α per universe slot (aligned with the cache's universe).
-    pub(crate) alpha: Vec<f64>,
+    /// The previous solve's α by point id. Iteration order is never used,
+    /// so the map's layout cannot leak into results.
+    pub(crate) alpha: HashMap<PointId, f64>,
     /// Completed solves in this session.
     pub(crate) solves: usize,
 }
@@ -49,27 +44,12 @@ pub struct SolverSession {
 impl SolverSession {
     /// Creates an empty session (first solve through it is a cold start).
     pub fn new() -> Self {
-        Self {
-            cache: DistanceRowCache::new(2),
-            alpha: Vec::new(),
-            solves: 0,
-        }
+        Self::default()
     }
 
     /// Completed solves through this session.
     pub fn solves(&self) -> usize {
         self.solves
-    }
-
-    /// Cumulative distance-row cache counters across all solves.
-    pub fn cache_stats(&self) -> DistCacheStats {
-        self.cache.stats()
-    }
-}
-
-impl Default for SolverSession {
-    fn default() -> Self {
-        Self::new()
     }
 }
 

@@ -18,8 +18,8 @@
 //! * **Sequential Minimal Optimization** ([`smo`]): pairwise multiplier
 //!   updates under the simplex constraint `Σ α_i = 1`, first-order working
 //!   set selection by maximum KKT violation, active-set shrinking with a
-//!   full KKT re-scan before convergence, and a σ-invariant LRU
-//!   squared-distance row cache ([`cache`]);
+//!   full KKT re-scan before convergence, and a per-solve LRU slab of
+//!   kernel rows over the packed target;
 //! * **incremental learning** ([`incremental`]): a learning threshold `T`
 //!   bounds how many trainings a point participates in, keeping the target
 //!   set — and hence each SMO solve — small, and a cross-round
@@ -48,7 +48,6 @@
 //! assert!(model.decision(&ps, &[0.0, 0.0]) <= model.radius_sq() + 1e-6);
 //! ```
 
-pub mod cache;
 pub mod contour;
 pub mod incremental;
 pub mod kernel;
@@ -57,11 +56,10 @@ pub mod params;
 pub mod smo;
 pub mod weights;
 
-pub use cache::{DistCacheStats, DistanceRowCache};
 pub use contour::{decision_boundary_2d, decision_boundary_around_targets, Segment};
 pub use incremental::{IncrementalTarget, SolverSession, DEFAULT_LEARNING_THRESHOLD};
 pub use kernel::GaussianKernel;
 pub use model::{SolveDiagnostics, SvType, SvddModel};
 pub use params::{kernel_width_center_radius, optimal_nu, KernelWidthStrategy};
-pub use smo::{SmoOptions, SvddProblem};
+pub use smo::{RowCacheStats, SmoOptions, SvddProblem};
 pub use weights::{centroid_distances, kernel_distances, penalty_weights, WeightOptions};

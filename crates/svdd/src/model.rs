@@ -2,8 +2,8 @@
 
 use dbsvec_geometry::{PointId, PointSet};
 
-use crate::cache::DistCacheStats;
 use crate::kernel::GaussianKernel;
+use crate::smo::RowCacheStats;
 
 /// Classification of a target point by its multiplier (paper §II-D).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -17,10 +17,9 @@ pub enum SvType {
 }
 
 /// How one SMO solve went: iteration spend, termination cause, warm-start
-/// quality, shrinking effectiveness, and distance-row cache traffic.
+/// quality, shrinking effectiveness, and kernel-row traffic.
 ///
-/// All values are deterministic at every thread count (the solver's
-/// parallel paths only precompute pure rows).
+/// All values are deterministic: the solver is sequential.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct SolveDiagnostics {
     /// SMO iterations spent.
@@ -41,9 +40,8 @@ pub struct SolveDiagnostics {
     /// Full KKT re-scans performed to validate convergence after
     /// shrinking (gradient reconstruction passes).
     pub rescans: usize,
-    /// Distance-row cache traffic attributable to *this* solve (deltas of
-    /// the possibly session-shared cache counters).
-    pub cache: DistCacheStats,
+    /// This solve's kernel-row traffic (see [`crate::SmoOptions::cache_rows`]).
+    pub cache: RowCacheStats,
 }
 
 /// A solved (weighted) SVDD description of one target set.
@@ -154,7 +152,7 @@ impl SvddModel {
         self.diag.iterations
     }
 
-    /// Distance-row cache `(hits, misses)` recorded during the solve.
+    /// Kernel-row `(hits, misses)` recorded during the solve.
     pub fn cache_stats(&self) -> (u64, u64) {
         (self.diag.cache.hits, self.diag.cache.misses)
     }

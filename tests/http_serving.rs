@@ -127,3 +127,61 @@ fn http_labels_match_in_process_assign_across_two_sharded_models() {
     assert!(report.requests >= 10);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A coordinate the JSON parser reads as ∞ (`1e999`) is a typed 400, and
+/// the rejection leaves the shard serving: valid requests to the same
+/// (only) shard succeed right after.
+#[test]
+fn non_finite_coordinates_are_rejected_and_the_shard_keeps_serving() {
+    let mut cores = PointSet::new(2);
+    for i in 0..5 {
+        cores.push(&[i as f64, 0.0]);
+    }
+    let artifact = ModelArtifact {
+        eps: 1.5,
+        min_pts: 3,
+        num_clusters: 1,
+        cores,
+        core_labels: vec![0; 5],
+        boundaries: None,
+        quality: None,
+        sampling: None,
+    };
+    let path =
+        std::env::temp_dir().join(format!("dbsvec-http-nonfinite-{}.dbm", std::process::id()));
+    let mut router = Router::new();
+    router.add_model("m", &path, &artifact, 1, None);
+    let server = Server::bind(
+        Arc::new(router),
+        ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            threads: 1,
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let addr = server.local_addr().unwrap();
+    let shutdown = ShutdownFlag::new();
+    let flag = shutdown.clone();
+    let handle = std::thread::spawn(move || server.run(&flag, &mut NoopObserver));
+
+    for (endpoint, body) in [
+        ("ingest", r#"{"point":[1e999,0.5]}"#),
+        ("assign", r#"{"point":[2.0,-1e999]}"#),
+        ("assign", r#"{"points":[[2.0,0.5],[1e999,0.0]]}"#),
+    ] {
+        let (status, resp) = post(addr, &format!("/v1/models/m/{endpoint}"), body);
+        assert_eq!(status, 400, "{endpoint} {body}: {resp}");
+        assert!(resp.contains("non-finite"), "{resp}");
+    }
+    let (status, resp) = post(addr, "/v1/models/m/ingest", r#"{"point":[2.0,0.5]}"#);
+    assert_eq!(status, 200, "{resp}");
+    let (status, resp) = post(addr, "/v1/models/m/assign", r#"{"point":[2.0,0.5]}"#);
+    assert_eq!(status, 200, "{resp}");
+    assert!(resp.contains("\"cluster\":0"), "{resp}");
+
+    shutdown.request();
+    let report = handle.join().unwrap().unwrap();
+    assert_eq!((report.requests, report.errors), (5, 3));
+    std::fs::remove_file(&path).ok();
+}

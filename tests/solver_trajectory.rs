@@ -1,0 +1,135 @@
+//! Pins the SVDD solver's trajectory on one fixed fit, bit for bit.
+//!
+//! The solver's kernel storage is a performance detail: how rows are
+//! cached, packed, or evicted must never change a kernel value or the
+//! order of an accumulation. This test fixes the observable trace of that
+//! arithmetic on the paper's random-walk workload — every SMO solve's
+//! target size, iteration count, warm-start flag, termination, and
+//! initial KKT violation (in microunits), plus digests of the labels and
+//! the core set and every [`DbsvecStats`] counter — at 1 and 4 threads.
+//! A storage change that moves any of these has changed the solver's
+//! numerics, not just its speed.
+//!
+//! The cache hit/miss counters are deliberately not pinned: they describe
+//! the storage, which is free to change.
+
+use dbsvec::core::DbsvecStats;
+use dbsvec::datasets::{random_walk_clusters, RandomWalkConfig};
+use dbsvec::obs::{Event, RecordingObserver};
+use dbsvec::{Dbsvec, DbsvecConfig};
+
+/// `(target_size, iterations, warm_started, converged,
+/// initial_kkt_violation_e6)` of each solve, in fit order.
+const SOLVES: [(usize, usize, bool, bool, u64); 28] = [
+    (617, 80, false, true, 1639827),
+    (767, 61, true, true, 811815),
+    (232, 46, false, true, 1153867),
+    (592, 73, true, true, 1374329),
+    (773, 49, true, true, 791899),
+    (407, 60, false, true, 1435308),
+    (861, 53, true, true, 894275),
+    (867, 30, true, true, 611532),
+    (557, 56, false, true, 1601241),
+    (812, 57, true, true, 921704),
+    (438, 62, false, true, 1292046),
+    (782, 68, true, true, 938084),
+    (786, 46, true, true, 456865),
+    (401, 51, false, true, 983290),
+    (790, 54, true, true, 1052051),
+    (345, 71, false, true, 1643248),
+    (614, 65, true, true, 1171952),
+    (810, 57, true, true, 844716),
+    (334, 71, false, true, 1519579),
+    (789, 73, true, true, 895837),
+    (192, 47, false, true, 1111819),
+    (442, 57, true, true, 1156659),
+    (769, 55, true, true, 801289),
+    (798, 39, true, true, 704886),
+    (101, 39, false, true, 1385024),
+    (430, 51, true, true, 1180117),
+    (755, 61, true, true, 790257),
+    (798, 49, true, true, 691913),
+];
+
+/// FNV-1a of the labels, noise encoded as `u32::MAX`.
+const LABELS_FNV: u64 = 0x56b7_54bd_dd4e_042e;
+/// FNV-1a of `core_points()` in reported order.
+const CORES_FNV: u64 = 0x8cd3_b3a0_b24c_d50b;
+
+const STATS: DbsvecStats = DbsvecStats {
+    seeds: 10,
+    svdd_trainings: 28,
+    support_vectors: 1126,
+    core_support_vectors: 813,
+    merges: 0,
+    noise_candidates: 10,
+    noise_confirmed: 10,
+    range_queries: 842,
+    expansion_rounds: 28,
+    max_target_size: 867,
+    smo_iterations: 1581,
+    warm_started_trainings: 18,
+    iterations_exhausted: 0,
+    shrunk_variables: 0,
+    initial_kkt_violation_e6: 29855429,
+    sampled_candidates: 0,
+    attachment_candidates: 0,
+    attached_points: 0,
+};
+
+/// FNV-1a 64 over the little-endian bytes of `words`.
+fn fnv1a(words: impl IntoIterator<Item = u32>) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for word in words {
+        for byte in word.to_le_bytes() {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    hash
+}
+
+#[test]
+fn random_walk_fit_follows_the_pinned_solver_trajectory() {
+    let ds = random_walk_clusters(&RandomWalkConfig::paper_default(8000, 8), 3);
+    for threads in [1usize, 4] {
+        let mut recorder = RecordingObserver::new();
+        let result = Dbsvec::new(DbsvecConfig::new(5000.0, 100).with_threads(threads))
+            .fit_observed(&ds.points, &mut recorder);
+
+        let solves: Vec<(usize, usize, bool, bool, u64)> = recorder
+            .events()
+            .filter_map(|e| match e {
+                Event::SmoSolve {
+                    target_size,
+                    iterations,
+                    warm_started,
+                    converged,
+                    initial_kkt_violation_e6,
+                    ..
+                } => Some((
+                    *target_size,
+                    *iterations,
+                    *warm_started,
+                    *converged,
+                    *initial_kkt_violation_e6,
+                )),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(solves, SOLVES, "threads={threads}: SMO solve trajectory");
+
+        let labels = result
+            .labels()
+            .assignments()
+            .iter()
+            .map(|a| a.unwrap_or(u32::MAX));
+        assert_eq!(fnv1a(labels), LABELS_FNV, "threads={threads}: labels");
+        assert_eq!(
+            fnv1a(result.core_points().iter().copied()),
+            CORES_FNV,
+            "threads={threads}: core points"
+        );
+        assert_eq!(*result.stats(), STATS, "threads={threads}: stats");
+    }
+}
