@@ -82,7 +82,6 @@ fn bench_warm_vs_cold(runner: &Runner) {
     let warm_opts = SmoOptions::default();
     let cold_opts = SmoOptions {
         warm_start: false,
-        shrinking: false,
         ..SmoOptions::default()
     };
     let (warm_iters, cold_iters) = (run(warm_opts), run(cold_opts));

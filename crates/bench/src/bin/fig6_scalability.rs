@@ -191,7 +191,7 @@ fn fit_parallel(args: &BenchArgs, max_threads: usize) {
 }
 
 /// The warm-vs-cold SMO sweep (`smo` subcommand): DBSVEC with the default
-/// warm-started, shrinking solver against [`DbsvecConfig::cold_start`] on
+/// warm-started solver against [`DbsvecConfig::cold_start`] on
 /// the Fig. 6a cardinality workloads. Labels must match exactly at every
 /// size, and the warm solver must spend strictly fewer total SMO
 /// iterations. Writes `BENCH_fit_smo.json`.
@@ -214,8 +214,8 @@ fn fit_smo(args: &BenchArgs) {
     let (mut warm_total, mut cold_total) = (0u64, 0u64);
     let (mut warm_secs, mut cold_secs) = (0.0f64, 0.0f64);
     println!(
-        "{:>10} {:>6} {:>12} {:>11} {:>10} {:>10} {:>10}",
-        "n", "mode", "smo_iters", "total", "warm_fits", "shrunk", "exhausted"
+        "{:>10} {:>6} {:>12} {:>11} {:>10} {:>10}",
+        "n", "mode", "smo_iters", "total", "warm_fits", "exhausted"
     );
     for &n in &sizes {
         let ds = random_walk_clusters(&RandomWalkConfig::paper_default(n, 8), args.seed);
@@ -224,7 +224,7 @@ fn fit_smo(args: &BenchArgs) {
             run_dbsvec_config_profiled(&ds.points, DbsvecConfig::new(EPS, MIN_PTS).cold_start());
         assert_eq!(
             warm.clustering, cold.clustering,
-            "n={n}: warm-start + shrinking changed the labels"
+            "n={n}: warm start changed the labels"
         );
         assert_eq!(
             cold.counts.warm_started_trainings, 0,
@@ -236,11 +236,10 @@ fn fit_smo(args: &BenchArgs) {
         cold_secs += cold.seconds;
         for (mode, out) in [("warm", &warm), ("cold", &cold)] {
             println!(
-                "{n:>10} {mode:>6} {:>12} {:>11} {:>10} {:>10} {:>10}",
+                "{n:>10} {mode:>6} {:>12} {:>11} {:>10} {:>10}",
                 out.counts.smo_iterations,
                 fmt_secs(Some(out.seconds)),
                 out.counts.warm_started_trainings,
-                out.counts.shrunk_variables,
                 out.counts.iterations_exhausted,
             );
             let mut extras = vec![

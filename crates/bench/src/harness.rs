@@ -265,7 +265,6 @@ impl JsonReport {
                         Json::UInt(c.warm_started_trainings),
                     ),
                     ("iterations_exhausted", Json::UInt(c.iterations_exhausted)),
-                    ("shrunk_variables", Json::UInt(c.shrunk_variables)),
                     (
                         "initial_kkt_violation_e6",
                         Json::UInt(c.initial_kkt_violation_e6),

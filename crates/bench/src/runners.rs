@@ -245,7 +245,7 @@ pub fn run_dbsvec_threads_profiled(
 }
 
 /// Profiled DBSVEC run under an explicit configuration, for ablation-style
-/// sweeps that toggle solver knobs (warm-start, shrinking) rather than
+/// sweeps that toggle solver knobs (e.g. warm start) rather than
 /// thread counts. Phase timings and replayed counters are folded into the
 /// outcome exactly as in [`run_algorithm_profiled`].
 pub fn run_dbsvec_config_profiled(points: &PointSet, config: DbsvecConfig) -> RunOutcome {

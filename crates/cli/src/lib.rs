@@ -100,11 +100,11 @@ DATASETS (for --dataset):
 Omitting --eps derives it from the k-distance knee (Schubert et al. 2017);
 omitting --min-pts uses a cardinality-based default.
 
-fit --threads N fans the per-round support-vector range queries across N
-worker threads (0 = all cores, the default; 1 = the sequential code path).
-Labels, stats, and traces are identical at every N.
-fit --cold-start disables the warm-started incremental SMO solver (cross-round
-alpha reuse + active-set shrinking); labels are identical either way.
+fit --threads N fans the R*-tree bulk load and the per-round support-vector
+range queries across N worker threads (0 = all cores, the default; 1 = the
+sequential code path). Labels, stats, and traces are identical at every N.
+fit --cold-start turns off the SMO solver's warm start (reusing the previous
+round's alphas); labels are identical either way.
 
 SAMPLED CORE DISCOVERY (fit):
   fit --sample-rate R draws a uniform Bernoulli subsample (each point a core

@@ -18,10 +18,11 @@ pub enum NuStrategy {
 
 /// Thread budget for the parallel fit path.
 ///
-/// Two fit stages fan out across scoped threads against shared immutable
-/// state: the per-round batch of range queries on core support vectors
-/// and (via `dbsvec_index::k_distance_profile_threaded`) the k-dist
-/// parameter scan.
+/// Three fit stages fan out across scoped threads: the R\*-tree bulk load
+/// behind [`crate::Dbsvec::fit`] (via `RStarTree::build_threaded`), and,
+/// against shared immutable state, the per-round batch of range queries on
+/// core support vectors and (via
+/// `dbsvec_index::k_distance_profile_threaded`) the k-dist parameter scan.
 /// Results are **bit identical at every thread count** — workers only
 /// evaluate pure functions, and all state mutation replays on the driving
 /// thread in deterministic order. `threads == 1` is the escape hatch that
@@ -254,18 +255,11 @@ impl DbsvecConfig {
         self
     }
 
-    /// Escape hatch: disables both cross-round α warm starts and active-set
-    /// shrinking, so every expansion round solves its SVDD from scratch the
-    /// way the pre-incremental solver did.
+    /// Escape hatch: disables cross-round α warm starts, so every
+    /// expansion round solves its SVDD from scratch the way the
+    /// pre-incremental solver did.
     pub fn cold_start(mut self) -> Self {
         self.smo.warm_start = false;
-        self.smo.shrinking = false;
-        self
-    }
-
-    /// Disables active-set shrinking only, keeping warm starts.
-    pub fn without_shrinking(mut self) -> Self {
-        self.smo.shrinking = false;
         self
     }
 
@@ -307,19 +301,14 @@ mod tests {
         assert_eq!(c.parallel.threads, 0);
         assert_eq!(c.sampling.mode, SamplingMode::Exact);
         assert_eq!(c.sampling.seed, DEFAULT_SAMPLING_SEED);
-        // Warm starts and shrinking are on by default.
+        // Warm starts are on by default.
         assert!(c.smo.warm_start);
-        assert!(c.smo.shrinking);
     }
 
     #[test]
-    fn cold_start_disables_warm_start_and_shrinking() {
+    fn cold_start_disables_warm_start() {
         let c = DbsvecConfig::new(1.0, 5).cold_start();
         assert!(!c.smo.warm_start);
-        assert!(!c.smo.shrinking);
-        let s = DbsvecConfig::new(1.0, 5).without_shrinking();
-        assert!(s.smo.warm_start);
-        assert!(!s.smo.shrinking);
     }
 
     #[test]

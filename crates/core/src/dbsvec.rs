@@ -85,14 +85,14 @@ impl Dbsvec {
     }
 
     /// Clusters `points`, building a bulk-loaded R\*-tree for the range
-    /// queries (the paper's default substrate).
+    /// queries (the paper's default substrate) on the fit's thread budget.
     pub fn fit(&self, points: &PointSet) -> DbsvecResult {
         self.fit_observed(points, &mut NoopObserver)
     }
 
     /// [`Dbsvec::fit`] with an observer receiving phase spans and events.
     pub fn fit_observed(&self, points: &PointSet, obs: &mut dyn Observer) -> DbsvecResult {
-        let index = RStarTree::build(points);
+        let index = RStarTree::build_threaded(points, self.config.parallel.resolve());
         self.fit_with_index_observed(points, &index, obs)
     }
 

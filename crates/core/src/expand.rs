@@ -63,7 +63,6 @@ pub(crate) fn sv_expand_cluster<I: RangeIndex + Sync>(
         state.stats.smo_iterations += model.iterations() as u64;
         state.stats.warm_started_trainings += diag.warm_started as u64;
         state.stats.iterations_exhausted += !diag.converged as u64;
-        state.stats.shrunk_variables += diag.shrunk_peak as u64;
         state.stats.initial_kkt_violation_e6 += violation_e6;
         state.obs.event(&Event::SmoSolve {
             target_size,
@@ -72,7 +71,6 @@ pub(crate) fn sv_expand_cluster<I: RangeIndex + Sync>(
             cache_misses: diag.cache.misses,
             warm_started: diag.warm_started,
             converged: diag.converged,
-            shrunk: diag.shrunk_peak,
             initial_kkt_violation_e6: violation_e6,
         });
         let support_vectors = model.support_vectors();

@@ -35,10 +35,6 @@ pub struct DbsvecStats {
     pub warm_started_trainings: u64,
     /// Trainings that hit the SMO iteration cap instead of converging.
     pub iterations_exhausted: u64,
-    /// Peak shrunk variables summed over all trainings (active-set
-    /// shrinking effectiveness; divide by `smo_iterations`-weighted target
-    /// sizes for a fraction).
-    pub shrunk_variables: u64,
     /// Sum of per-training initial KKT violations in fixed-point microunits
     /// (`round(violation · 1e6)`): integer so the stats stay `Eq`/replayable.
     /// Warm starts drive the per-training violation toward 0.

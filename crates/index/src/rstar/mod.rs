@@ -6,7 +6,8 @@
 //!
 //! * **STR bulk loading** (`bulk`) — the Sort-Tile-Recursive packing of
 //!   Leutenegger et al., which builds a near-optimal static tree in
-//!   O(n log n); this is how all experiment datasets are indexed,
+//!   O(n log n), optionally on several threads; this is how all experiment
+//!   datasets are indexed,
 //! * **dynamic insertion** with the R\* heuristics (`split`): ChooseSubtree
 //!   minimizes overlap enlargement at the leaf level and area enlargement
 //!   above it, and node splits pick the axis by minimum margin sum and the
@@ -64,7 +65,14 @@ impl<'a> RStarTree<'a> {
 
     /// Bulk-loads the whole point set with Sort-Tile-Recursive packing.
     pub fn build(points: &'a PointSet) -> Self {
-        bulk::str_bulk_load(points)
+        bulk::str_bulk_load(points, 1)
+    }
+
+    /// [`RStarTree::build`] with the leaf level tiled on up to `threads`
+    /// scoped threads (`threads <= 1` spawns none). The tree is the same
+    /// at every thread count.
+    pub fn build_threaded(points: &'a PointSet, threads: usize) -> Self {
+        bulk::str_bulk_load(points, threads)
     }
 
     /// Creates an empty tree for incremental insertion.

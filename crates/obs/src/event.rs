@@ -86,9 +86,6 @@ pub enum Event {
         /// `false` when the solve exhausted its iteration cap instead of
         /// reaching the KKT tolerance.
         converged: bool,
-        /// Peak variables simultaneously dropped by active-set shrinking
-        /// (divide by `target_size` for the shrunk fraction).
-        shrunk: usize,
         /// Initial KKT violation in fixed-point microunits
         /// (`round(violation · 1e6)`); integers keep the event `Eq` and
         /// the replay exact.

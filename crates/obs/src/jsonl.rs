@@ -42,7 +42,6 @@ pub fn event_to_json(event: &Event) -> Json {
             cache_misses,
             warm_started,
             converged,
-            shrunk,
             initial_kkt_violation_e6,
         } => {
             push("target_size", Json::UInt(target_size as u64));
@@ -51,7 +50,6 @@ pub fn event_to_json(event: &Event) -> Json {
             push("cache_misses", Json::UInt(cache_misses));
             push("warm_started", Json::Bool(warm_started));
             push("converged", Json::Bool(converged));
-            push("shrunk", Json::UInt(shrunk as u64));
             push(
                 "initial_kkt_violation_e6",
                 Json::UInt(initial_kkt_violation_e6),
@@ -275,7 +273,6 @@ mod tests {
             cache_misses: 4,
             warm_started: true,
             converged: true,
-            shrunk: 5,
             initial_kkt_violation_e6: 1834,
         });
         obs.event(&Event::ExpansionRound {

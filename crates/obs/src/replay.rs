@@ -41,8 +41,6 @@ pub struct ReplayCounts {
     pub warm_started_trainings: u64,
     /// Trainings that exhausted their iteration cap (`converged == false`).
     pub iterations_exhausted: u64,
-    /// Peak shrunk variables, summed over trainings.
-    pub shrunk_variables: u64,
     /// Initial KKT violations in fixed-point microunits, summed over
     /// trainings.
     pub initial_kkt_violation_e6: u64,
@@ -103,7 +101,6 @@ impl ReplayCounts {
                 iterations,
                 warm_started,
                 converged,
-                shrunk,
                 initial_kkt_violation_e6,
                 ..
             } => {
@@ -112,7 +109,6 @@ impl ReplayCounts {
                 self.max_target_size = self.max_target_size.max(*target_size);
                 self.warm_started_trainings += *warm_started as u64;
                 self.iterations_exhausted += !*converged as u64;
-                self.shrunk_variables += *shrunk as u64;
                 self.initial_kkt_violation_e6 += *initial_kkt_violation_e6;
             }
             Event::ExpansionRound {
@@ -275,7 +271,6 @@ pub fn event_from_json(value: &Json) -> Result<Event, String> {
             cache_misses: field_u64(value, "cache_misses")?,
             warm_started: field_bool(value, "warm_started")?,
             converged: field_bool(value, "converged")?,
-            shrunk: field_usize(value, "shrunk")?,
             initial_kkt_violation_e6: field_u64(value, "initial_kkt_violation_e6")?,
         }),
         "expansion_round" => Ok(Event::ExpansionRound {
@@ -390,7 +385,6 @@ mod tests {
                 cache_misses: 8,
                 warm_started: false,
                 converged: true,
-                shrunk: 0,
                 initial_kkt_violation_e6: 1_500_000,
             },
             Event::ExpansionRound {
@@ -408,7 +402,6 @@ mod tests {
                 cache_misses: 2,
                 warm_started: true,
                 converged: false,
-                shrunk: 30,
                 initial_kkt_violation_e6: 420,
             },
             Event::ExpansionRound {
@@ -456,7 +449,6 @@ mod tests {
         assert_eq!(c.smo_iterations, 40);
         assert_eq!(c.warm_started_trainings, 1);
         assert_eq!(c.iterations_exhausted, 1);
-        assert_eq!(c.shrunk_variables, 30);
         assert_eq!(c.initial_kkt_violation_e6, 1_500_420);
         assert_eq!(c.expansion_rounds, 2);
         assert_eq!(c.support_vectors, 14);
@@ -582,7 +574,6 @@ mod tests {
                 cache_misses: 6,
                 warm_started: true,
                 converged: true,
-                shrunk: 2,
                 initial_kkt_violation_e6: 77,
             },
             Event::Merge {
@@ -666,5 +657,27 @@ mod tests {
             "{\"kind\":\"event\",\"event\":\"range_query\",\"probe\":1}\n"
         )
         .is_err());
+    }
+
+    #[test]
+    fn smo_solve_lines_from_older_traces_still_replay() {
+        // Traces written while the solver had active-set shrinking carry a
+        // `shrunk` field on every solve; it is ignored.
+        let line = "{\"t\":0.5,\"kind\":\"event\",\"event\":\"smo_solve\",\
+                    \"target_size\":15,\"iterations\":4,\"cache_hits\":9,\
+                    \"cache_misses\":6,\"warm_started\":true,\"converged\":false,\
+                    \"shrunk\":2,\"initial_kkt_violation_e6\":77}\n";
+        let replayed = ReplayCounts::from_jsonl(line).expect("an older trace line");
+        let solve = Event::SmoSolve {
+            target_size: 15,
+            iterations: 4,
+            cache_hits: 9,
+            cache_misses: 6,
+            warm_started: true,
+            converged: false,
+            initial_kkt_violation_e6: 77,
+        };
+        assert_eq!(replayed, ReplayCounts::from_events([&solve]));
+        assert_eq!(replayed.svdd_trainings, 1);
     }
 }

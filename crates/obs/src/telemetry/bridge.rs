@@ -29,7 +29,6 @@ struct EventCounters {
     smo_iterations: CounterId,
     warm_started_trainings: CounterId,
     iterations_exhausted: CounterId,
-    shrunk_variables: CounterId,
     initial_kkt_violation_e6: CounterId,
     sampled_candidates: CounterId,
     attachment_candidates: CounterId,
@@ -128,11 +127,6 @@ impl MetricsObserver {
                 &mut reg,
                 "dbsvec_iterations_exhausted_total",
                 "SVDD trainings that hit the SMO iteration cap.",
-            ),
-            shrunk_variables: c(
-                &mut reg,
-                "dbsvec_shrunk_variables_total",
-                "Peak shrunk variables, summed over trainings.",
             ),
             initial_kkt_violation_e6: c(
                 &mut reg,
@@ -298,7 +292,6 @@ impl Observer for MetricsObserver {
                 iterations,
                 warm_started,
                 converged,
-                shrunk,
                 initial_kkt_violation_e6,
                 ..
             } => {
@@ -308,7 +301,6 @@ impl Observer for MetricsObserver {
                     .add(c.warm_started_trainings, *warm_started as u64);
                 self.registry
                     .add(c.iterations_exhausted, !*converged as u64);
-                self.registry.add(c.shrunk_variables, *shrunk as u64);
                 self.registry
                     .add(c.initial_kkt_violation_e6, *initial_kkt_violation_e6);
                 self.observe_max_target(*target_size);
@@ -417,7 +409,6 @@ mod tests {
             cache_misses: 0,
             warm_started: true,
             converged: false,
-            shrunk: 12,
             initial_kkt_violation_e6: 250,
         });
         let reg = m.registry();
@@ -433,7 +424,6 @@ mod tests {
             reg.counter_value("dbsvec_iterations_exhausted_total"),
             Some(1)
         );
-        assert_eq!(reg.counter_value("dbsvec_shrunk_variables_total"), Some(12));
         assert_eq!(
             reg.counter_value("dbsvec_initial_kkt_violation_e6_total"),
             Some(250)

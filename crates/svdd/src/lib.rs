@@ -16,10 +16,11 @@
 //!   [`weights`]) favours newly added and far-from-center points as support
 //!   vectors;
 //! * **Sequential Minimal Optimization** ([`smo`]): pairwise multiplier
-//!   updates under the simplex constraint `Σ α_i = 1`, first-order working
-//!   set selection by maximum KKT violation, active-set shrinking with a
-//!   full KKT re-scan before convergence, and a per-solve LRU slab of
-//!   kernel rows over the packed target;
+//!   updates under the simplex constraint `Σ α_i = 1`, working-set
+//!   selection by maximum KKT violation (second-order for the decreasing
+//!   side) that costs O(#SV) per step beyond one gradient pass, and a
+//!   per-solve LRU slab of kernel rows over a column-major copy of the
+//!   target;
 //! * **incremental learning** ([`incremental`]): a learning threshold `T`
 //!   bounds how many trainings a point participates in, keeping the target
 //!   set — and hence each SMO solve — small, and a cross-round

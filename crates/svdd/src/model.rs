@@ -17,7 +17,7 @@ pub enum SvType {
 }
 
 /// How one SMO solve went: iteration spend, termination cause, warm-start
-/// quality, shrinking effectiveness, and kernel-row traffic.
+/// quality, and kernel-row traffic.
 ///
 /// All values are deterministic: the solver is sequential.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -34,12 +34,6 @@ pub struct SolveDiagnostics {
     /// at the first working-set selection (0 when the start was already
     /// optimal). A warm start is good exactly when this is small.
     pub initial_kkt_violation: f64,
-    /// Peak number of variables simultaneously removed from the working
-    /// set by active-set shrinking (0 with shrinking disabled).
-    pub shrunk_peak: usize,
-    /// Full KKT re-scans performed to validate convergence after
-    /// shrinking (gradient reconstruction passes).
-    pub rescans: usize,
     /// This solve's kernel-row traffic (see [`crate::SmoOptions::cache_rows`]).
     pub cache: RowCacheStats,
 }
@@ -77,14 +71,10 @@ impl SvddModel {
         kernel: GaussianKernel,
         r_sq: f64,
         alpha_k_alpha: f64,
+        support: Vec<usize>,
         diag: SolveDiagnostics,
     ) -> Self {
-        let support = alpha
-            .iter()
-            .enumerate()
-            .filter(|(_, &a)| a > ALPHA_TOL)
-            .map(|(i, _)| i)
-            .collect();
+        debug_assert!(support.windows(2).all(|w| w[0] < w[1]));
         Self {
             target_ids,
             alpha,
@@ -157,7 +147,7 @@ impl SvddModel {
         (self.diag.cache.hits, self.diag.cache.misses)
     }
 
-    /// Full solve diagnostics (termination, warm start, shrinking, cache).
+    /// Full solve diagnostics (termination, warm start, cache).
     pub fn diagnostics(&self) -> SolveDiagnostics {
         self.diag
     }

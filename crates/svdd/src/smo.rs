@@ -39,38 +39,48 @@
 //! iterations. [`SolveDiagnostics::initial_kkt_violation`] measures exactly
 //! how good the seed was.
 //!
-//! # Active-set shrinking
+//! # Working-set selection in O(#SV)
 //!
-//! Most multipliers sit pinned at a bound with strongly-signed gradients
-//! long before convergence (interior points at 0, outliers at u_i).
-//! Shrinking drops them from working-set selection: every
-//! [`SmoOptions::shrink_interval`] iterations, variables with
-//! `α_k ≈ 0, G_k > G_down` or `α_k ≈ u_k, G_k < G_up` are deactivated. The
-//! heuristic can be wrong, so the solver never declares convergence from a
-//! shrunk state: on any stop condition it reconstructs the gradients of the
-//! shrunk variables (`G_k = 2 Σ_{α_j>0} α_j K_jk`), reactivates everything,
-//! and re-checks the KKT conditions over the *full* set — only a clean
-//! full-set pass terminates.
+//! Only the gradient changes everywhere in a step; the multipliers change
+//! at two positions. The solver therefore keeps two pieces of selection
+//! state next to α and updates them at those two positions only:
+//!
+//! * the **support list** — the ascending positions with `α_k > ALPHA_TOL`.
+//!   `j = argmax G_k` over `α_k > 0` and the second-order choice of `j`
+//!   below scan it, not the whole target;
+//! * an **eligibility mask** — `0` where `α_k` can still grow, `+∞` where it
+//!   sits at its cap. The next step's `i = argmin G_k + mask_k` comes from
+//!   a lane-split argmin fused into the gradient update's pass.
+//!
+//! Every argmin and argmax keeps the first index among equal values, as a
+//! plain ascending scan does; the lane-split argmin resolves a tie between
+//! its lanes toward the lower position.
 //!
 //! # Kernel rows
 //!
-//! Each solve packs its target's coordinates contiguously once and keeps
-//! an LRU slab of at most [`SmoOptions::cache_rows`] kernel rows
-//! `K(x_t, ·)`, evaluated at this solve's σ in target order. A row costs
-//! O(ñ·d) multiply-adds and ñ `exp` calls once per miss; every read after
-//! that — the initial gradient, the second-order η's, the gradient update,
-//! and the shrink reconstruction — is a plain slice access, and the
-//! gradient update is a contiguous axpy over the two working rows. Rows
-//! never outlive the solve: DBSVEC re-resolves σ before every round, so a
-//! kernel value is stale by the next one anyway.
+//! Each solve copies its target's coordinates once, column-major (one
+//! contiguous column per dimension), and keeps an LRU slab of at most
+//! [`SmoOptions::cache_rows`] kernel rows `K(x_t, ·)`, evaluated at this
+//! solve's σ in target order. A missed row is filled one block of target
+//! positions at a time: each lane accumulates the squared differences of
+//! its position dimension by dimension, in the same order
+//! [`dbsvec_geometry::squared_euclidean`] sums them, and
+//! [`GaussianKernel::eval_sq_dist`] then maps the row to kernel values —
+//! bit for bit [`GaussianKernel::eval`] on the two points. Every read after
+//! that — the initial gradient, the second-order η's and the gradient
+//! update — is a plain slice access, and the gradient update is a
+//! contiguous axpy over the two working rows. Rows never outlive the
+//! solve: DBSVEC re-resolves σ before every round, so a kernel value is
+//! stale by the next one anyway.
 //!
-//! Cost: O(ñ) selection and update work per iteration plus O(ñ·d) per row
-//! miss, in O(ñ · cache_rows) memory. With DBSVEC's small ν (few support
-//! vectors) a solve takes few iterations and touches few rows, which is
-//! what makes per-expansion SVDD training effectively linear in ñ (paper
-//! §IV-D).
+//! Cost per iteration: one O(ñ) pass that updates the gradient and
+//! selects the next `i`, O(#SV) for the rest of the selection, plus
+//! O(ñ·d) and ñ `exp` calls per row miss, in O(ñ · cache_rows) memory.
+//! With DBSVEC's small ν (few support vectors) a solve takes few
+//! iterations and touches few rows, which is what makes per-expansion
+//! SVDD training effectively linear in ñ (paper §IV-D).
 
-use dbsvec_geometry::{squared_euclidean, PointId, PointSet};
+use dbsvec_geometry::{PointId, PointSet};
 
 use crate::incremental::SolverSession;
 use crate::kernel::GaussianKernel;
@@ -100,14 +110,6 @@ pub struct SmoOptions {
     /// takes effect when a [`SolverSession`] with at least one completed
     /// solve is attached. Default `true`.
     pub warm_start: bool,
-    /// Enable active-set shrinking (see module docs). Convergence is
-    /// always validated by a full KKT re-scan, so the final accuracy is
-    /// identical with or without it. Default `true`.
-    pub shrinking: bool,
-    /// Iterations between shrink passes; `0` means `min(ñ, 1000)` (the
-    /// libsvm heuristic). Smaller values shrink more aggressively at the
-    /// price of more reconstruction re-scans.
-    pub shrink_interval: usize,
 }
 
 impl Default for SmoOptions {
@@ -117,8 +119,6 @@ impl Default for SmoOptions {
             max_iterations: 0,
             cache_rows: 0,
             warm_start: true,
-            shrinking: true,
-            shrink_interval: 0,
         }
     }
 }
@@ -142,14 +142,6 @@ impl SmoOptions {
             self.max_iterations
         }
     }
-
-    fn resolve_shrink_interval(&self, n: usize) -> usize {
-        if self.shrink_interval == 0 {
-            n.clamp(1, 1000)
-        } else {
-            self.shrink_interval.max(1)
-        }
-    }
 }
 
 /// Kernel-row traffic of one solve.
@@ -163,13 +155,19 @@ pub struct RowCacheStats {
     pub evictions: u64,
 }
 
+/// Target positions a row fill accumulates at once, in registers.
+const ROW_BLOCK: usize = 16;
+
 /// One solve's kernel rows: an LRU slab of at most `capacity` rows, row
 /// `t` holding `K(x_t, x_k)` for every target position `k`.
 struct KernelRows {
     kernel: GaussianKernel,
-    /// The target's coordinates, packed contiguously in target order.
-    target: PointSet,
-    /// Resident rows, `target.len()` values per slot.
+    /// The target's coordinates, column-major: dimension `c` of target
+    /// position `k` sits at `columns[c * ñ + k]`.
+    columns: Vec<f64>,
+    /// The coordinates of the row being filled.
+    point: Vec<f64>,
+    /// Resident rows, `ñ` values per slot.
     slab: Vec<f64>,
     /// `slot_of[t]`: the slot holding row `t`, if resident.
     slot_of: Vec<Option<usize>>,
@@ -188,9 +186,16 @@ impl KernelRows {
         let n = ids.len();
         // Never more slots than rows; at least the working pair.
         let capacity = capacity.max(2).min(n.max(2));
+        let mut columns = vec![0.0; points.dims() * n];
+        for (k, &id) in ids.iter().enumerate() {
+            for (c, &x) in points.point(id).iter().enumerate() {
+                columns[c * n + k] = x;
+            }
+        }
         Self {
             kernel,
-            target: points.subset(ids),
+            columns,
+            point: vec![0.0; points.dims()],
             slab: Vec::with_capacity(capacity * n),
             slot_of: vec![None; n],
             owner: Vec::with_capacity(capacity),
@@ -229,15 +234,44 @@ impl KernelRows {
             s
         };
         self.slot_of[t] = Some(s);
-        let xt = self.target.point(t as PointId);
-        let row = &mut self.slab[s * n..(s + 1) * n];
-        for (out, xk) in row
-            .iter_mut()
-            .zip(self.target.as_flat().chunks_exact(xt.len()))
-        {
-            *out = self.kernel.eval_sq_dist(squared_euclidean(xt, xk));
-        }
+        self.fill(s, t);
         s
+    }
+
+    /// Computes row `t` into slot `s`: squared distances a block of
+    /// positions at a time, each lane summing its position's dimensions in
+    /// order, then the kernel over the row.
+    fn fill(&mut self, s: usize, t: usize) {
+        let n = self.slot_of.len();
+        for (c, x) in self.point.iter_mut().enumerate() {
+            *x = self.columns[c * n + t];
+        }
+        let row = &mut self.slab[s * n..(s + 1) * n];
+        let mut blocks = row.chunks_exact_mut(ROW_BLOCK);
+        for (b, block) in blocks.by_ref().enumerate() {
+            let mut lanes = [0.0; ROW_BLOCK];
+            for (c, &xt) in self.point.iter().enumerate() {
+                let column = &self.columns[c * n + b * ROW_BLOCK..][..ROW_BLOCK];
+                for (acc, &xk) in lanes.iter_mut().zip(column) {
+                    let diff = xt - xk;
+                    *acc += diff * diff;
+                }
+            }
+            block.copy_from_slice(&lanes);
+        }
+        let tail = blocks.into_remainder();
+        let start = n - tail.len();
+        for (k, out) in (start..).zip(tail) {
+            let mut acc = 0.0;
+            for (c, &xt) in self.point.iter().enumerate() {
+                let diff = xt - self.columns[c * n + k];
+                acc += diff * diff;
+            }
+            *out = acc;
+        }
+        for v in row {
+            *v = self.kernel.eval_sq_dist(*v);
+        }
     }
 
     /// The row held by slot `s`.
@@ -250,6 +284,118 @@ impl KernelRows {
     fn row(&mut self, t: usize) -> &[f64] {
         let s = self.fetch(t);
         self.slot(s)
+    }
+}
+
+/// Lanes of a [`LaneArgmin`].
+const LANES: usize = 4;
+
+/// A first-index argmin over keys fed [`LANES`] at a time, in interleaved
+/// lanes the compiler can vectorize. Lane `l` sees positions
+/// `l, l + LANES, …` in ascending order and keeps its first minimum; the
+/// lanes then combine with ties going to the lower position, and the tail
+/// past the last full chunk continues with a strict `<`. The result is
+/// exactly that of one ascending scan with a strict `<`.
+struct LaneArgmin {
+    best: [f64; LANES],
+    at: [usize; LANES],
+}
+
+impl LaneArgmin {
+    fn new() -> Self {
+        Self {
+            best: [f64::INFINITY; LANES],
+            at: [usize::MAX; LANES],
+        }
+    }
+
+    /// Feeds the keys of positions `base..base + LANES`.
+    #[inline(always)]
+    fn chunk(&mut self, base: usize, keys: [f64; LANES]) {
+        for (l, &key) in keys.iter().enumerate() {
+            if key < self.best[l] {
+                self.best[l] = key;
+                self.at[l] = base + l;
+            }
+        }
+    }
+
+    /// Combines the lanes, then feeds the `(position, key)` tail in
+    /// ascending order; `None` when no key was below `+∞`.
+    fn finish(self, tail: impl Iterator<Item = (usize, f64)>) -> Option<usize> {
+        let (mut min, mut pos) = (f64::INFINITY, usize::MAX);
+        for (&key, &k) in self.best.iter().zip(&self.at) {
+            if key < min || (key == min && k < pos) {
+                min = key;
+                pos = k;
+            }
+        }
+        for (k, key) in tail {
+            if key < min {
+                min = key;
+                pos = k;
+            }
+        }
+        (pos != usize::MAX).then_some(pos)
+    }
+}
+
+/// The first position of the minimum of `values[k] + mask[k]`, or `None`
+/// when every entry is masked out (`mask[k] = +∞`).
+fn first_argmin(values: &[f64], mask: &[f64]) -> Option<usize> {
+    debug_assert_eq!(values.len(), mask.len());
+    let split = values.len() - values.len() % LANES;
+    let mut lanes = LaneArgmin::new();
+    for (c, (v, m)) in values[..split]
+        .chunks_exact(LANES)
+        .zip(mask[..split].chunks_exact(LANES))
+        .enumerate()
+    {
+        lanes.chunk(c * LANES, std::array::from_fn(|l| v[l] + m[l]));
+    }
+    let tail = values.iter().zip(mask).map(|(&v, &m)| v + m);
+    lanes.finish(tail.enumerate().skip(split))
+}
+
+/// The gradient update of one step, `G_k += two_delta · (K_ik − K_jk)`,
+/// fused with [`first_argmin`] of the updated `G + mask`.
+fn update_and_select(
+    grad: &mut [f64],
+    row_i: &[f64],
+    row_j: &[f64],
+    two_delta: f64,
+    mask: &[f64],
+) -> Option<usize> {
+    let split = grad.len() - grad.len() % LANES;
+    let (head, tail) = grad.split_at_mut(split);
+    let mut lanes = LaneArgmin::new();
+    for (c, (((g, ki), kj), m)) in head
+        .chunks_exact_mut(LANES)
+        .zip(row_i.chunks_exact(LANES))
+        .zip(row_j.chunks_exact(LANES))
+        .zip(mask.chunks_exact(LANES))
+        .enumerate()
+    {
+        for l in 0..LANES {
+            g[l] += two_delta * (ki[l] - kj[l]);
+        }
+        lanes.chunk(c * LANES, std::array::from_fn(|l| g[l] + m[l]));
+    }
+    let tail = tail.iter_mut().enumerate().map(|(t, g)| {
+        let k = split + t;
+        *g += two_delta * (row_i[k] - row_j[k]);
+        (k, *g + mask[k])
+    });
+    lanes.finish(tail)
+}
+
+/// Eligibility-mask entry of one multiplier: `0` while `α < u` (it can
+/// grow), `+∞` at its cap.
+fn grow_mask(alpha: f64, upper: f64) -> f64 {
+    if alpha < upper - ALPHA_TOL {
+        0.0
+    } else {
+        f64::INFINITY
     }
 }
 
@@ -350,32 +496,6 @@ impl<'a> SvddProblem<'a> {
     }
 }
 
-/// Rebuilds `G_k = 2 Σ_{α_j>0} α_j K_jk` for every inactive `k`,
-/// accumulating in ascending source order.
-fn reconstruct_shrunk_gradients(
-    rows: &mut KernelRows,
-    alpha: &[f64],
-    active: &[bool],
-    grad: &mut [f64],
-) {
-    let shrunk: Vec<usize> = (0..alpha.len()).filter(|&k| !active[k]).collect();
-    if shrunk.is_empty() {
-        return;
-    }
-    for &k in &shrunk {
-        grad[k] = 0.0;
-    }
-    for (t, &a) in alpha.iter().enumerate() {
-        if a > 0.0 {
-            let a2 = 2.0 * a;
-            let row = rows.row(t);
-            for &k in &shrunk {
-                grad[k] += a2 * row[k];
-            }
-        }
-    }
-}
-
 fn solve_in_session(
     points: &PointSet,
     ids: &[PointId],
@@ -463,61 +583,51 @@ fn solve_in_session(
         }
     }
 
+    // ---- Selection state, kept in step with α at the two positions each
+    // iteration moves: the ascending support list (α > ALPHA_TOL), the
+    // eligibility mask of the multipliers that can grow, and the next `i`.
+    let mut support: Vec<usize> = (0..n).filter(|&k| alpha[k] > ALPHA_TOL).collect();
+    let mut up_mask: Vec<f64> = alpha
+        .iter()
+        .zip(&upper)
+        .map(|(&a, &u)| grow_mask(a, u))
+        .collect();
+    let mut i_up = first_argmin(&grad, &up_mask);
+
     // ---- Main loop.
-    let shrinking = options.shrinking && n > 1;
-    let shrink_interval = options.resolve_shrink_interval(n);
-    let mut active = vec![true; n];
-    let mut n_active = n;
-    let mut until_shrink = shrink_interval;
     let mut iterations = 0usize;
     let mut converged = false;
     let mut initial_kkt_violation = 0.0f64;
     let mut first_selection = true;
-    let mut shrunk_peak = 0usize;
-    let mut rescans = 0usize;
 
     loop {
-        // Working-set selection by maximum KKT violation over the active set.
-        let mut i_up = usize::MAX; // candidate to increase
-        let mut g_up = f64::INFINITY;
-        let mut j_down = usize::MAX; // candidate to decrease
+        // Working-set selection by maximum KKT violation: `i` (to grow) is
+        // the gradient's argmin over α < u, `j_down` (to shrink) its argmax
+        // over the support list.
+        let g_up = i_up.map_or(f64::INFINITY, |i| grad[i]);
+        let mut j_down = None;
         let mut g_down = f64::NEG_INFINITY;
-        for k in 0..n {
-            if !active[k] {
-                continue;
-            }
-            if alpha[k] < upper[k] - ALPHA_TOL && grad[k] < g_up {
-                g_up = grad[k];
-                i_up = k;
-            }
-            if alpha[k] > ALPHA_TOL && grad[k] > g_down {
+        for &k in &support {
+            if grad[k] > g_down {
                 g_down = grad[k];
-                j_down = k;
+                j_down = Some(k);
             }
         }
+        let pair = match (i_up, j_down) {
+            (Some(i), Some(j)) if i != j => Some((i, j)),
+            _ => None,
+        };
         if first_selection {
             first_selection = false;
-            if i_up != usize::MAX && j_down != usize::MAX && i_up != j_down {
+            if pair.is_some() {
                 initial_kkt_violation = (g_down - g_up).max(0.0);
             }
         }
-
-        let optimal = i_up == usize::MAX
-            || j_down == usize::MAX
-            || i_up == j_down
-            || g_down - g_up < options.tolerance;
-        if optimal {
-            if n_active < n {
-                // The active set looks converged, but shrinking is a
-                // heuristic: reconstruct the shrunk gradients and re-check
-                // the KKT conditions over the full variable set.
-                reconstruct_shrunk_gradients(&mut rows, &alpha, &active, &mut grad);
-                active.fill(true);
-                n_active = n;
-                until_shrink = shrink_interval;
-                rescans += 1;
-                continue;
-            }
+        let Some((i, j_down)) = pair else {
+            converged = true;
+            break;
+        };
+        if g_down - g_up < options.tolerance {
             converged = true;
             break;
         }
@@ -525,7 +635,6 @@ fn solve_in_session(
             break; // budget exhausted: reported via `converged == false`
         }
 
-        let i = i_up;
         // Second-order selection of j (libsvm's WSS2): among the variables
         // that can decrease, maximize the guaranteed objective decrease
         // (G_j − G_i)²/η_ij instead of the bare violation G_j. First-order
@@ -538,8 +647,8 @@ fn solve_in_session(
         let row_i = rows.slot(slot_i);
         let mut j = j_down;
         let mut best_gain = f64::NEG_INFINITY;
-        for k in 0..n {
-            if !active[k] || k == i || alpha[k] <= ALPHA_TOL {
+        for &k in &support {
+            if k == i {
                 continue;
             }
             let diff = grad[k] - g_up;
@@ -564,62 +673,34 @@ fn solve_in_session(
             max_step
         };
         if delta <= 0.0 {
-            if n_active < n {
-                reconstruct_shrunk_gradients(&mut rows, &alpha, &active, &mut grad);
-                active.fill(true);
-                n_active = n;
-                until_shrink = shrink_interval;
-                rescans += 1;
-                continue;
-            }
             converged = true; // numerically stuck; current iterate is KKT-ε optimal
             break;
         }
 
         alpha[i] += delta;
         alpha[j] -= delta;
-
-        // Gradient maintenance with the two working rows, branch-free over
-        // every k: an inactive entry is rebuilt by
-        // `reconstruct_shrunk_gradients` before anything reads it again.
-        let slot_j = rows.fetch(j);
-        let two_delta = 2.0 * delta;
-        for ((g, &ki), &kj) in grad
-            .iter_mut()
-            .zip(rows.slot(slot_i))
-            .zip(rows.slot(slot_j))
-        {
-            *g += two_delta * (ki - kj);
-        }
-        iterations += 1;
-
-        if shrinking {
-            until_shrink -= 1;
-            if until_shrink == 0 {
-                until_shrink = shrink_interval;
-                // Deactivate variables pinned at a bound whose gradient
-                // sign says they want to stay there (relative to this
-                // iteration's violating pair).
-                for k in 0..n {
-                    if !active[k] {
-                        continue;
-                    }
-                    let at_lower = alpha[k] <= ALPHA_TOL;
-                    let at_upper = alpha[k] >= upper[k] - ALPHA_TOL;
-                    if (at_lower && grad[k] > g_down) || (at_upper && grad[k] < g_up) {
-                        active[k] = false;
-                        n_active -= 1;
-                    }
+        for k in [i, j] {
+            match (alpha[k] > ALPHA_TOL, support.binary_search(&k)) {
+                (true, Err(at)) => support.insert(at, k),
+                (false, Ok(at)) => {
+                    support.remove(at);
                 }
-                shrunk_peak = shrunk_peak.max(n - n_active);
+                _ => {}
             }
+            up_mask[k] = grow_mask(alpha[k], upper[k]);
         }
-    }
 
-    // Budget exhaustion can leave shrunk variables with stale gradients;
-    // R² and αᵀKα below need the real ones.
-    if n_active < n {
-        reconstruct_shrunk_gradients(&mut rows, &alpha, &active, &mut grad);
+        // Gradient maintenance with the two working rows, a branch-free
+        // axpy over every k; the next `i` comes from the updated gradient.
+        let slot_j = rows.fetch(j);
+        i_up = update_and_select(
+            &mut grad,
+            rows.slot(slot_i),
+            rows.slot(slot_j),
+            2.0 * delta,
+            &up_mask,
+        );
+        iterations += 1;
     }
 
     // ---- Radius and constants.
@@ -663,8 +744,6 @@ fn solve_in_session(
         converged,
         warm_started: warm,
         initial_kkt_violation,
-        shrunk_peak,
-        rescans,
         cache: rows.stats,
     };
 
@@ -675,6 +754,7 @@ fn solve_in_session(
         kernel,
         r_sq,
         alpha_k_alpha,
+        support,
         diag,
     )
 }
@@ -1047,6 +1127,30 @@ mod tests {
     }
 
     #[test]
+    fn kernel_rows_match_direct_evaluation_across_blocks() {
+        // Targets spanning several register blocks plus a ragged tail.
+        let mut rng = SplitMix64::new(0xB10C);
+        for n in [ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 3 * ROW_BLOCK + 5] {
+            for d in [1, 3, 8] {
+                let rows: Vec<Vec<f64>> = (0..n)
+                    .map(|_| (0..d).map(|_| rng.next_f64_range(-40.0, 40.0)).collect())
+                    .collect();
+                let ps = PointSet::from_rows(&rows);
+                let ids: Vec<PointId> = (0..n as u32).rev().collect();
+                let kernel = GaussianKernel::from_width(rng.next_f64_range(1.0, 30.0));
+                let mut store = KernelRows::new(&ps, &ids, kernel, 0);
+                for t in 0..n {
+                    let row = store.row(t).to_vec();
+                    for (k, &got) in row.iter().enumerate() {
+                        let want = kernel.eval(ps.point(ids[t]), ps.point(ids[k]));
+                        assert_eq!(got, want, "n={n} d={d}: K[{t}][{k}]");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn kernel_rows_evict_the_least_recently_read() {
         let ps = PointSet::from_rows(&[vec![0.0], vec![1.0], vec![2.0], vec![3.0]]);
         let mut store = KernelRows::new(&ps, &[0, 1, 2, 3], GaussianKernel::from_width(1.0), 2);
@@ -1071,37 +1175,128 @@ mod tests {
     }
 
     #[test]
-    fn shrinking_shrinks_and_stays_correct() {
-        let (ps, ids) = gaussian_blob(150, 59);
-        let kernel = GaussianKernel::from_width(1.5);
-        let aggressive = SmoOptions {
-            shrink_interval: 5,
-            ..SmoOptions::default()
+    fn lane_split_argmin_matches_a_first_index_scan() {
+        // A strict `<` ascending scan: the first position of the minimum.
+        let scan = |values: &[f64], mask: &[f64]| {
+            let mut best = (f64::INFINITY, None);
+            for (k, (&v, &m)) in values.iter().zip(mask).enumerate() {
+                if m == 0.0 && v < best.0 {
+                    best = (v, Some(k));
+                }
+            }
+            best.1
         };
-        let no_shrink = SmoOptions {
-            shrinking: false,
-            ..SmoOptions::default()
+        let mut rng = SplitMix64::new(0xA5C1);
+        for trial in 0..2000 {
+            // Lengths around and between multiples of the lane count.
+            let n = rng.next_below(4 * LANES as u64 + 7) as usize;
+            // Few distinct values, so exact ties are the rule.
+            let levels = 1 + rng.next_below(4);
+            let values: Vec<f64> = (0..n)
+                .map(|_| rng.next_below(levels) as f64 * 0.25)
+                .collect();
+            let masked = rng.next_below(4);
+            let mask: Vec<f64> = (0..n)
+                .map(|_| match masked {
+                    0 => 0.0,
+                    1 => f64::INFINITY,
+                    _ if rng.next_below(3) == 0 => f64::INFINITY,
+                    _ => 0.0,
+                })
+                .collect();
+            assert_eq!(
+                first_argmin(&values, &mask),
+                scan(&values, &mask),
+                "trial {trial}: {values:?} / {mask:?}"
+            );
+        }
+        // The fused update selects exactly what an update, then a scan,
+        // selects — and leaves the same gradient.
+        for trial in 0..500 {
+            let n = rng.next_below(4 * LANES as u64 + 7) as usize;
+            let quarter = |rng: &mut SplitMix64| rng.next_below(4) as f64 * 0.25;
+            let grad: Vec<f64> = (0..n).map(|_| quarter(&mut rng)).collect();
+            let row_i: Vec<f64> = (0..n).map(|_| quarter(&mut rng)).collect();
+            let row_j: Vec<f64> = (0..n).map(|_| quarter(&mut rng)).collect();
+            let mask: Vec<f64> = (0..n)
+                .map(|_| match rng.next_below(3) {
+                    0 => f64::INFINITY,
+                    _ => 0.0,
+                })
+                .collect();
+            let two_delta = quarter(&mut rng) - 0.5;
+            let mut want = grad.clone();
+            for ((g, &ki), &kj) in want.iter_mut().zip(&row_i).zip(&row_j) {
+                *g += two_delta * (ki - kj);
+            }
+            let mut got = grad;
+            let selected = update_and_select(&mut got, &row_i, &row_j, two_delta, &mask);
+            assert_eq!(got, want, "trial {trial}: gradient");
+            assert_eq!(selected, scan(&want, &mask), "trial {trial}: selection");
+        }
+        // Every entry masked, at every length: nothing to select.
+        for n in 0..3 * LANES {
+            assert_eq!(
+                first_argmin(&vec![0.5; n], &vec![f64::INFINITY; n]),
+                None,
+                "n={n}"
+            );
+        }
+        // A tie between lanes and the tail goes to the lowest position.
+        let values = [2.0, 1.0, 3.0, 1.0, 1.0, 5.0, 1.0, 9.0, 1.0, 1.0];
+        let mask = [0.0, f64::INFINITY, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0];
+        assert_eq!(first_argmin(&values, &mask), Some(3));
+    }
+
+    #[test]
+    fn support_list_matches_a_brute_force_filter_after_every_step() {
+        // Three locations, each repeated: coincident pairs have η = 0, so
+        // steps move α all the way to a bound and positions keep entering
+        // and leaving the support list.
+        let mut rows = Vec::new();
+        for copy in 0..12 {
+            for &(x, y) in &[(0.0, 0.0), (1.0, 0.5), (0.2, 1.1)] {
+                rows.push(vec![x + (copy % 2) as f64 * 0.3, y]);
+            }
+        }
+        let ps = PointSet::from_rows(&rows);
+        let ids: Vec<PointId> = (0..rows.len() as u32).collect();
+        let kernel = GaussianKernel::from_width(0.8);
+        let solve = |max_iterations: usize| {
+            SvddProblem::new(&ps, &ids, kernel)
+                .with_nu(0.3)
+                .with_options(SmoOptions {
+                    max_iterations,
+                    ..SmoOptions::default()
+                })
+                .solve()
         };
-        let shrunk = SvddProblem::new(&ps, &ids, kernel)
-            .with_nu(0.1)
-            .with_options(aggressive)
-            .solve();
-        let full = SvddProblem::new(&ps, &ids, kernel)
-            .with_nu(0.1)
-            .with_options(no_shrink)
-            .solve();
-        assert!(shrunk.diagnostics().shrunk_peak > 0, "never shrank");
-        assert!(
-            shrunk.diagnostics().rescans > 0,
-            "converged without re-scan"
-        );
-        assert_eq!(full.diagnostics().shrunk_peak, 0);
-        // Shrinking changes the trajectory, not the quality: both end
-        // within the same KKT tolerance and with near-identical objectives.
-        assert!(kkt_violation(&ps, &ids, &shrunk) < 1e-3);
-        assert!(kkt_violation(&ps, &ids, &full) < 1e-3);
-        let objective = |m: &SvddModel| m.alpha_k_alpha();
-        assert!((objective(&shrunk) - objective(&full)).abs() < 1e-3);
+        let full = solve(0);
+        assert!(full.converged());
+        assert!(full.iterations() > 5, "{} iterations", full.iterations());
+        let (mut entered, mut left) = (0, 0);
+        let mut previous: Option<Vec<PointId>> = None;
+        // The solver is deterministic, so capping it at `s` iterations
+        // stops it right after step `s` of the full solve.
+        for s in 1..=full.iterations() {
+            let model = solve(s);
+            assert_eq!(model.iterations(), s);
+            let want: Vec<PointId> = model
+                .alphas()
+                .iter()
+                .zip(&ids)
+                .filter(|(&a, _)| a > ALPHA_TOL)
+                .map(|(_, &id)| id)
+                .collect();
+            assert_eq!(model.support_vectors(), want, "after step {s}");
+            if let Some(prev) = &previous {
+                entered += want.iter().filter(|id| !prev.contains(id)).count();
+                left += prev.iter().filter(|id| !want.contains(id)).count();
+            }
+            previous = Some(want);
+        }
+        assert_eq!(solve(full.iterations()).alphas(), full.alphas());
+        assert!(entered > 0 && left > 0, "entered {entered}, left {left}");
     }
 
     #[test]

@@ -219,7 +219,7 @@ fn insert_delete_interleavings_are_bit_identical_across_threads_and_restarts() {
 fn smo_cache_counters_in_the_trace_are_thread_invariant() {
     let ps = dataset(0xD374, 100);
     #[allow(clippy::type_complexity)]
-    let solves = |threads: usize| -> Vec<(usize, usize, u64, u64, bool, bool, usize, u64)> {
+    let solves = |threads: usize| -> Vec<(usize, usize, u64, u64, bool, bool, u64)> {
         let mut recorder = RecordingObserver::new();
         let _ = Dbsvec::new(DbsvecConfig::new(3.0, 6).with_threads(threads))
             .fit_observed(&ps, &mut recorder);
@@ -233,7 +233,6 @@ fn smo_cache_counters_in_the_trace_are_thread_invariant() {
                     cache_misses,
                     warm_started,
                     converged,
-                    shrunk,
                     initial_kkt_violation_e6,
                 } => Some((
                     *target_size,
@@ -242,7 +241,6 @@ fn smo_cache_counters_in_the_trace_are_thread_invariant() {
                     *cache_misses,
                     *warm_started,
                     *converged,
-                    *shrunk,
                     *initial_kkt_violation_e6,
                 )),
                 _ => None,

@@ -71,7 +71,6 @@ fn replayed_counters_match_the_run_stats_exactly() {
         stats.warm_started_trainings
     );
     assert_eq!(replayed.iterations_exhausted, stats.iterations_exhausted);
-    assert_eq!(replayed.shrunk_variables, stats.shrunk_variables);
     assert_eq!(
         replayed.initial_kkt_violation_e6,
         stats.initial_kkt_violation_e6

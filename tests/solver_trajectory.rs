@@ -10,17 +10,27 @@
 //! A storage change that moves any of these has changed the solver's
 //! numerics, not just its speed.
 //!
+//! A second fit runs the same workload with every coordinate rounded to a
+//! multiple of 400. Rounded coordinates tie constantly — in distances,
+//! kernel values, gradients and per-dimension sort keys — so that fit pins
+//! the tie rules end to end: every selection keeps the first index among
+//! equal values, and the R\*-tree bulk load keeps its order among equal
+//! coordinates.
+//!
 //! The cache hit/miss counters are deliberately not pinned: they describe
 //! the storage, which is free to change.
 
 use dbsvec::core::DbsvecStats;
 use dbsvec::datasets::{random_walk_clusters, RandomWalkConfig};
 use dbsvec::obs::{Event, RecordingObserver};
-use dbsvec::{Dbsvec, DbsvecConfig};
+use dbsvec::{Dbsvec, DbsvecConfig, PointSet};
 
 /// `(target_size, iterations, warm_started, converged,
-/// initial_kkt_violation_e6)` of each solve, in fit order.
-const SOLVES: [(usize, usize, bool, bool, u64); 28] = [
+/// initial_kkt_violation_e6)` of one solve.
+type Solve = (usize, usize, bool, bool, u64);
+
+/// Each solve of the random-walk fit, in fit order.
+const SOLVES: [Solve; 28] = [
     (617, 80, false, true, 1639827),
     (767, 61, true, true, 811815),
     (232, 46, false, true, 1153867),
@@ -70,8 +80,64 @@ const STATS: DbsvecStats = DbsvecStats {
     smo_iterations: 1581,
     warm_started_trainings: 18,
     iterations_exhausted: 0,
-    shrunk_variables: 0,
     initial_kkt_violation_e6: 29855429,
+    sampled_candidates: 0,
+    attachment_candidates: 0,
+    attached_points: 0,
+};
+
+/// Each solve of the grid-rounded fit, in fit order.
+const ROUNDED_SOLVES: [Solve; 28] = [
+    (612, 88, false, true, 1611722),
+    (767, 43, true, true, 783824),
+    (227, 49, false, true, 1282476),
+    (582, 65, true, true, 1281685),
+    (773, 41, true, true, 816660),
+    (410, 44, false, true, 1392421),
+    (865, 47, true, true, 850283),
+    (867, 28, true, true, 702934),
+    (555, 73, false, true, 1568762),
+    (812, 59, true, true, 994161),
+    (408, 47, false, true, 1282660),
+    (785, 78, true, true, 957373),
+    (786, 44, true, true, 519119),
+    (372, 43, false, true, 937315),
+    (790, 43, true, true, 1029095),
+    (358, 72, false, true, 1592636),
+    (621, 75, true, true, 946482),
+    (810, 56, true, true, 1007628),
+    (314, 57, false, true, 1365083),
+    (789, 84, true, true, 899634),
+    (192, 58, false, true, 1118242),
+    (449, 49, true, true, 1151339),
+    (784, 57, true, true, 806957),
+    (798, 33, true, true, 801712),
+    (103, 29, false, true, 1421609),
+    (512, 48, true, true, 1207944),
+    (751, 58, true, true, 789408),
+    (798, 52, true, true, 770422),
+];
+
+/// Rounding moves no point to another cluster: the digest equals
+/// [`LABELS_FNV`].
+const ROUNDED_LABELS_FNV: u64 = 0x56b7_54bd_dd4e_042e;
+const ROUNDED_CORES_FNV: u64 = 0xdd74_15c4_efca_3bee;
+
+const ROUNDED_STATS: DbsvecStats = DbsvecStats {
+    seeds: 10,
+    svdd_trainings: 28,
+    support_vectors: 1069,
+    core_support_vectors: 749,
+    merges: 0,
+    noise_candidates: 10,
+    noise_confirmed: 10,
+    range_queries: 776,
+    expansion_rounds: 28,
+    max_target_size: 867,
+    smo_iterations: 1520,
+    warm_started_trainings: 18,
+    iterations_exhausted: 0,
+    initial_kkt_violation_e6: 29889586,
     sampled_candidates: 0,
     attachment_candidates: 0,
     attached_points: 0,
@@ -89,15 +155,21 @@ fn fnv1a(words: impl IntoIterator<Item = u32>) -> u64 {
     hash
 }
 
-#[test]
-fn random_walk_fit_follows_the_pinned_solver_trajectory() {
-    let ds = random_walk_clusters(&RandomWalkConfig::paper_default(8000, 8), 3);
+/// Fits `points` at ε = 5000, MinPts = 100 on 1 and 4 threads and checks
+/// the solve trajectory, the label and core digests, and the stats.
+fn assert_pinned_fit(
+    points: &PointSet,
+    want_solves: &[Solve],
+    labels_fnv: u64,
+    cores_fnv: u64,
+    stats: &DbsvecStats,
+) {
     for threads in [1usize, 4] {
         let mut recorder = RecordingObserver::new();
         let result = Dbsvec::new(DbsvecConfig::new(5000.0, 100).with_threads(threads))
-            .fit_observed(&ds.points, &mut recorder);
+            .fit_observed(points, &mut recorder);
 
-        let solves: Vec<(usize, usize, bool, bool, u64)> = recorder
+        let solves: Vec<Solve> = recorder
             .events()
             .filter_map(|e| match e {
                 Event::SmoSolve {
@@ -117,19 +189,47 @@ fn random_walk_fit_follows_the_pinned_solver_trajectory() {
                 _ => None,
             })
             .collect();
-        assert_eq!(solves, SOLVES, "threads={threads}: SMO solve trajectory");
+        assert_eq!(
+            solves, want_solves,
+            "threads={threads}: SMO solve trajectory"
+        );
 
         let labels = result
             .labels()
             .assignments()
             .iter()
             .map(|a| a.unwrap_or(u32::MAX));
-        assert_eq!(fnv1a(labels), LABELS_FNV, "threads={threads}: labels");
+        assert_eq!(fnv1a(labels), labels_fnv, "threads={threads}: labels");
         assert_eq!(
             fnv1a(result.core_points().iter().copied()),
-            CORES_FNV,
+            cores_fnv,
             "threads={threads}: core points"
         );
-        assert_eq!(*result.stats(), STATS, "threads={threads}: stats");
+        assert_eq!(result.stats(), stats, "threads={threads}: stats");
     }
+}
+
+#[test]
+fn random_walk_fit_follows_the_pinned_solver_trajectory() {
+    let ds = random_walk_clusters(&RandomWalkConfig::paper_default(8000, 8), 3);
+    assert_pinned_fit(&ds.points, &SOLVES, LABELS_FNV, CORES_FNV, &STATS);
+}
+
+#[test]
+fn grid_rounded_fit_follows_the_pinned_solver_trajectory() {
+    let ds = random_walk_clusters(&RandomWalkConfig::paper_default(8000, 8), 3);
+    let rounded = ds
+        .points
+        .as_flat()
+        .iter()
+        .map(|&x| (x / 400.0).round() * 400.0)
+        .collect();
+    let points = PointSet::from_flat(ds.points.dims(), rounded);
+    assert_pinned_fit(
+        &points,
+        &ROUNDED_SOLVES,
+        ROUNDED_LABELS_FNV,
+        ROUNDED_CORES_FNV,
+        &ROUNDED_STATS,
+    );
 }

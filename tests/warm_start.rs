@@ -1,5 +1,5 @@
 //! Warm-started SMO is an optimization, not a semantic change: fitting
-//! with the default warm-start + shrinking solver must produce the exact
+//! with the default warm-started solver must produce the exact
 //! cluster labels the `cold_start()` solver produces on the tier-1 fixture
 //! datasets, with both terminating at the same KKT tolerance (no training
 //! may exhaust its iteration budget), at every tested thread count.
@@ -37,7 +37,7 @@ fn assert_equivalent(name: &str, points: &PointSet, eps: f64, min_pts: usize) {
 
     assert_eq!(
         warm_labels, cold_labels,
-        "{name}: warm-start + shrinking changed the cluster labels"
+        "{name}: warm start changed the cluster labels"
     );
     // Both solvers must have terminated by convergence, i.e. at KKT
     // violation ≤ the shared tolerance — never by budget exhaustion.
@@ -88,18 +88,4 @@ fn gaussian_mixture_labels_are_identical_warm_vs_cold() {
 fn random_walk_labels_are_identical_warm_vs_cold() {
     let ds = random_walk_clusters(&RandomWalkConfig::paper_default(8000, 8), 3);
     assert_equivalent("random_walk", &ds.points, 5000.0, 100);
-}
-
-#[test]
-fn shrinking_alone_is_label_invariant_too() {
-    // Isolate the shrinking heuristic: warm start off, shrinking on vs off.
-    let ds = random_walk_clusters(&RandomWalkConfig::paper_default(4000, 8), 5);
-    let mut shrink_only = DbsvecConfig::new(5000.0, 100).cold_start();
-    shrink_only.smo.shrinking = true;
-    shrink_only.smo.shrink_interval = 10; // force it to fire on small targets
-    let (a, a_stats) = fit(&ds.points, shrink_only);
-    let (b, b_stats) = fit(&ds.points, DbsvecConfig::new(5000.0, 100).cold_start());
-    assert_eq!(a, b, "shrinking changed the cluster labels");
-    assert_eq!(a_stats.iterations_exhausted, 0);
-    assert_eq!(b_stats.iterations_exhausted, 0);
 }
