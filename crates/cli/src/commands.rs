@@ -997,12 +997,21 @@ pub fn serve_http(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError
 }
 
 /// Parses a `--remove-ids` list (`3,5,10-20`) into sorted, deduplicated
-/// row indices.
-fn parse_id_list(spec: &str) -> Result<Vec<usize>, CliError> {
+/// row indices below `rows`. Every id and range end is bounds-checked
+/// before a range is expanded, so an oversized range is an error, not an
+/// allocation.
+fn parse_id_list(spec: &str, rows: usize) -> Result<Vec<usize>, CliError> {
     let number = |s: &str| {
-        s.trim()
+        let id = s
+            .trim()
             .parse::<usize>()
-            .map_err(|_| CliError(format!("--remove-ids: {s:?} is not a row index")))
+            .map_err(|_| CliError(format!("--remove-ids: {s:?} is not a row index")))?;
+        if id >= rows {
+            return Err(CliError(format!(
+                "--remove-ids: row {id} out of range (the input has {rows} rows)"
+            )));
+        }
+        Ok(id)
     };
     let mut ids = Vec::new();
     for part in spec.split(',') {
@@ -1073,13 +1082,7 @@ pub fn ingest(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
     }
     let mut remove_row = vec![false; points.len()];
     if let Some(spec) = args.get("remove-ids") {
-        for id in parse_id_list(spec)? {
-            if id >= points.len() {
-                return Err(CliError(format!(
-                    "--remove-ids: row {id} out of range ({input} has {} rows)",
-                    points.len()
-                )));
-            }
+        for id in parse_id_list(spec, points.len())? {
             remove_row[id] = true;
         }
     }
@@ -1123,7 +1126,7 @@ pub fn ingest(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
     let seconds = start.elapsed().as_secs_f64();
     obs.span_exit(Phase::Serve);
 
-    let s = *engine.stats();
+    let s = engine.stats();
     writeln!(
         out,
         "ingested {} points in {seconds:.3}s: {} duplicates, {} promoted to core \
@@ -1981,6 +1984,62 @@ mod tests {
         for f in [&data, &extra, &model, &updated] {
             std::fs::remove_file(f).ok();
         }
+    }
+
+    #[test]
+    fn remove_ids_are_bounds_checked_before_ranges_expand() {
+        let data = tempfile("remove-ids.csv");
+        let model = tempfile("remove-ids.dbm");
+        let (data_s, model_s) = (data.to_str().unwrap(), model.to_str().unwrap());
+        run_ok(&[
+            "generate",
+            "--dataset",
+            "moons",
+            "--n",
+            "200",
+            "--output",
+            data_s,
+        ]);
+        run_ok(&["fit", "--input", data_s, "--save", model_s]);
+        let ingest = |ids: &str| {
+            let mut out = Vec::new();
+            let tokens = [
+                "ingest",
+                "--model",
+                model_s,
+                "--input",
+                data_s,
+                "--remove-ids",
+                ids,
+            ];
+            run(tokens.iter().map(|s| s.to_string()).collect(), &mut out)
+                .map(|()| String::from_utf8(out).unwrap())
+                .map_err(|e| e.0)
+        };
+        // A range end past the file fails typed, however large it is.
+        for ids in ["0-18446744073709551615", "0-5000", "5000"] {
+            let err = ingest(ids).expect_err(ids);
+            assert!(
+                err.contains("out of range (the input has 200 rows)"),
+                "{err}"
+            );
+        }
+        let text = ingest("3,5,10-12").expect("a valid list");
+        assert!(text.contains("ingested 200 points"), "got: {text}");
+        assert!(text.contains("\nremoved "), "got: {text}");
+        for f in [&data, &model] {
+            std::fs::remove_file(f).ok();
+        }
+
+        assert_eq!(
+            parse_id_list("12,3,5-7,6", 20).unwrap(),
+            vec![3, 5, 6, 7, 12]
+        );
+        let err = |spec: &str| parse_id_list(spec, 20).unwrap_err().0;
+        assert!(err("9-3").contains("backwards range"));
+        assert!(err("3,x").contains("\"x\" is not a row index"));
+        assert!(err("3-").contains("is not a row index"));
+        assert!(err("20").contains("row 20 out of range"));
     }
 
     #[test]

@@ -112,9 +112,10 @@ impl Dbsvec {
 
     /// [`Dbsvec::fit_with_index`] with an observer. The observer sees five
     /// phases (`init` ⊃ `sv_expand` ⊃ `svdd_train`, then `noise_verify`,
-    /// then `merge` for finalization) and one typed event per statistics
-    /// increment, so a recorded stream replays to exactly the returned
-    /// [`DbsvecStats`] (see `dbsvec-obs`'s `ReplayCounts`).
+    /// then `merge` for finalization) and every typed event the run emits.
+    /// The returned [`DbsvecStats`] are built from the same events (folded
+    /// by `dbsvec-obs`'s `ReplayCounts`), so a recorded stream replays to
+    /// exactly them.
     pub fn fit_with_index_observed<I: RangeIndex + Sync>(
         &self,
         points: &PointSet,
@@ -139,8 +140,7 @@ impl Dbsvec {
         // ---- Initialization + expansion (Algorithm 2 lines 2–12).
         state.obs.span_enter(Phase::Init);
         if let Some(ids) = sample {
-            state.stats.sampled_candidates = ids.len() as u64;
-            state.obs.event(&Event::Sample {
+            state.emit(Event::Sample {
                 candidates: ids.len(),
                 total: points.len(),
                 rate_e6: ((ids.len() as f64 / points.len().max(1) as f64) * 1e6).round() as u64,
@@ -171,8 +171,7 @@ impl Dbsvec {
             }
 
             // Seed a new sub-cluster from the ε-neighborhood (Corollary 1).
-            state.stats.seeds += 1;
-            state.obs.event(&Event::Seed {
+            state.emit(Event::Seed {
                 point: i,
                 neighborhood_len: neighborhood.len(),
             });
@@ -200,7 +199,7 @@ impl Dbsvec {
         let RunState {
             labels,
             mut uf,
-            stats,
+            counts,
             core_status,
             obs,
             ..
@@ -216,7 +215,7 @@ impl Dbsvec {
         obs.span_exit(Phase::Merge);
         DbsvecResult {
             clustering,
-            stats,
+            stats: DbsvecStats::from(&counts),
             core_points,
         }
     }

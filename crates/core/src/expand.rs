@@ -49,32 +49,22 @@ pub(crate) fn sv_expand_cluster<I: RangeIndex + Sync>(
     while !target.is_empty() {
         round += 1;
         let target_size = target.len();
-        state.stats.expansion_rounds += 1;
-        state.stats.max_target_size = state.stats.max_target_size.max(target_size);
 
         state.obs.span_enter(Phase::SvddTrain);
         let model = train_svdd(state, &target, &mut session);
         state.obs.span_exit(Phase::SvddTrain);
         let diag = model.diagnostics();
-        // Fixed-point microunits: the one place the f64 violation is
-        // encoded, so stats and the replayed trace agree exactly.
-        let violation_e6 = (diag.initial_kkt_violation * 1e6).round() as u64;
-        state.stats.svdd_trainings += 1;
-        state.stats.smo_iterations += model.iterations() as u64;
-        state.stats.warm_started_trainings += diag.warm_started as u64;
-        state.stats.iterations_exhausted += !diag.converged as u64;
-        state.stats.initial_kkt_violation_e6 += violation_e6;
-        state.obs.event(&Event::SmoSolve {
+        state.emit(Event::SmoSolve {
             target_size,
             iterations: model.iterations(),
             cache_hits: diag.cache.hits,
             cache_misses: diag.cache.misses,
             warm_started: diag.warm_started,
             converged: diag.converged,
-            initial_kkt_violation_e6: violation_e6,
+            // Fixed-point microunits keep the event `Eq` and its sum exact.
+            initial_kkt_violation_e6: (diag.initial_kkt_violation * 1e6).round() as u64,
         });
         let support_vectors = model.support_vectors();
-        state.stats.support_vectors += support_vectors.len() as u64;
         target.after_training();
 
         let n_sv = support_vectors.len();
@@ -100,7 +90,6 @@ pub(crate) fn sv_expand_cluster<I: RangeIndex + Sync>(
                 if neighborhood.len() < state.config.min_pts {
                     continue; // non-core support vector: cannot expand (Def. 6)
                 }
-                state.stats.core_support_vectors += 1;
                 n_core_sv += 1;
                 // The borrow checker cannot see that `absorb_or_merge` leaves
                 // `neighborhood` alone, so iterate by index over a swap.
@@ -138,7 +127,6 @@ pub(crate) fn sv_expand_cluster<I: RangeIndex + Sync>(
                 if neigh.len() < state.config.min_pts {
                     continue; // non-core support vector: cannot expand (Def. 6)
                 }
-                state.stats.core_support_vectors += 1;
                 n_core_sv += 1;
                 for &j in &neigh {
                     state.absorb_or_merge(j, raw_cid, &mut newly_added);
@@ -146,7 +134,7 @@ pub(crate) fn sv_expand_cluster<I: RangeIndex + Sync>(
             }
         }
 
-        state.obs.event(&Event::ExpansionRound {
+        state.emit(Event::ExpansionRound {
             cluster: raw_cid,
             round,
             target_size,

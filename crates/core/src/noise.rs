@@ -32,8 +32,6 @@ pub(crate) fn verify_noise<I: RangeIndex>(state: &mut RunState<'_, I>) {
             // Absorbed into a cluster by a later expansion: a border point.
             continue;
         }
-        state.stats.noise_candidates += 1;
-
         let mut nearest: Option<(f64, u32)> = None;
         for &j in neighborhood {
             if j == *i {
@@ -54,11 +52,10 @@ pub(crate) fn verify_noise<I: RangeIndex>(state: &mut RunState<'_, I>) {
             }
         }
 
-        match nearest {
-            Some((_, cid)) => state.labels.set_cluster(*i, cid),
-            None => state.stats.noise_confirmed += 1,
+        if let Some((_, cid)) = nearest {
+            state.labels.set_cluster(*i, cid);
         }
-        state.obs.event(&Event::NoiseVerdict {
+        state.emit(Event::NoiseVerdict {
             point: *i,
             confirmed: nearest.is_none(),
         });
@@ -115,12 +112,10 @@ fn attach_unsampled<I: RangeIndex>(state: &mut RunState<'_, I>) {
         )
     };
     for (&i, verdict) in pending.iter().zip(&verdicts) {
-        state.stats.attachment_candidates += 1;
         if let Some(cid) = verdict {
             state.labels.set_cluster(i, *cid);
-            state.stats.attached_points += 1;
         }
-        state.obs.event(&Event::Attach {
+        state.emit(Event::Attach {
             point: i,
             attached: verdict.is_some(),
         });

@@ -2,11 +2,10 @@
 
 use dbsvec_geometry::{PointId, PointSet};
 use dbsvec_index::RangeIndex;
-use dbsvec_obs::{Event, Observer};
+use dbsvec_obs::{Event, Observer, ReplayCounts};
 
 use crate::config::DbsvecConfig;
 use crate::labels::WorkingLabels;
-use crate::stats::DbsvecStats;
 use crate::unionfind::UnionFind;
 
 /// Memoized core-point status.
@@ -47,10 +46,12 @@ pub(crate) struct RunState<'a, I: RangeIndex> {
     /// Effective worker count for the parallel fit path, resolved once from
     /// `config.parallel` so every phase (and every SMO training) agrees.
     pub threads: usize,
-    pub stats: DbsvecStats,
-    /// Observer every phase reports into. The stats counters above stay
-    /// authoritative; the observer sees the same increments as events, so a
-    /// recorded stream replays to identical counts (`dbsvec-obs`).
+    /// Every event the run has emitted, folded into counts: the one source
+    /// of the returned `DbsvecStats`.
+    pub counts: ReplayCounts,
+    /// Observer every phase reports into. Events reach it through
+    /// [`RunState::emit`] only, so a recorded stream replays to exactly
+    /// [`RunState::counts`].
     pub obs: &'a mut dyn Observer,
 }
 
@@ -73,9 +74,15 @@ impl<'a, I: RangeIndex> RunState<'a, I> {
             queried: vec![false; n],
             candidates: None,
             threads: config.parallel.resolve(),
-            stats: DbsvecStats::default(),
+            counts: ReplayCounts::default(),
             obs,
         }
+    }
+
+    /// Counts `event` and forwards it to the observer.
+    pub fn emit(&mut self, event: Event) {
+        self.counts.record(&event);
+        self.obs.event(&event);
     }
 
     /// Materializing ε-range query with statistics accounting and core-status
@@ -101,8 +108,7 @@ impl<'a, I: RangeIndex> RunState<'a, I> {
     /// support-vector order so stats, events, and memoization are identical
     /// to the sequential path).
     pub fn record_range_query(&mut self, id: PointId, result_len: usize) {
-        self.stats.range_queries += 1;
-        self.obs.event(&Event::RangeQuery {
+        self.emit(Event::RangeQuery {
             probe: id,
             result_len,
         });
@@ -131,8 +137,7 @@ impl<'a, I: RangeIndex> RunState<'a, I> {
                 let count = self
                     .index
                     .count_range(self.points.point(id), self.config.eps);
-                self.stats.range_queries += 1;
-                self.obs.event(&Event::RangeQuery {
+                self.emit(Event::RangeQuery {
                     probe: id,
                     result_len: count,
                 });
@@ -158,8 +163,7 @@ impl<'a, I: RangeIndex> RunState<'a, I> {
         } else if let Some(other) = self.labels.cluster(j) {
             if !self.uf.same(other, raw_cid) && self.is_core(j) {
                 self.uf.union(other, raw_cid);
-                self.stats.merges += 1;
-                self.obs.event(&Event::Merge {
+                self.emit(Event::Merge {
                     existing: other,
                     expanding: raw_cid,
                 });

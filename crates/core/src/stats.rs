@@ -5,6 +5,13 @@
 //! verification — each of which is far smaller than `n`. These counters let
 //! the `table2_complexity` harness (and any user) verify that θ ≪ n on
 //! their own data.
+//!
+//! The run does not keep them by hand: every counter is a field of the
+//! [`ReplayCounts`] fold of the events the run emitted, copied out once
+//! when the fit returns. A recorded trace therefore replays to exactly
+//! these numbers.
+
+use dbsvec_obs::ReplayCounts;
 
 /// Counters accumulated over one DBSVEC run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -57,6 +64,31 @@ impl DbsvecStats {
             0.0
         } else {
             self.range_queries as f64 / n as f64
+        }
+    }
+}
+
+impl From<&ReplayCounts> for DbsvecStats {
+    /// The fit fields of an event fold.
+    fn from(c: &ReplayCounts) -> Self {
+        Self {
+            seeds: c.seeds,
+            svdd_trainings: c.svdd_trainings,
+            support_vectors: c.support_vectors,
+            core_support_vectors: c.core_support_vectors,
+            merges: c.merges,
+            noise_candidates: c.noise_candidates,
+            noise_confirmed: c.noise_confirmed,
+            range_queries: c.range_queries,
+            expansion_rounds: c.expansion_rounds,
+            max_target_size: c.max_target_size,
+            smo_iterations: c.smo_iterations,
+            warm_started_trainings: c.warm_started_trainings,
+            iterations_exhausted: c.iterations_exhausted,
+            initial_kkt_violation_e6: c.initial_kkt_violation_e6,
+            sampled_candidates: c.sampled_candidates,
+            attachment_candidates: c.attachment_candidates,
+            attached_points: c.attached_points,
         }
     }
 }

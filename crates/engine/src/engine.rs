@@ -50,7 +50,7 @@ use std::time::Instant;
 use dbsvec_core::Connectivity;
 use dbsvec_geometry::{squared_euclidean, PointSet};
 use dbsvec_index::{OwnedKdTree, RangeIndex};
-use dbsvec_obs::{Event, Histogram, NoopObserver, Observer};
+use dbsvec_obs::{Event, Histogram, NoopObserver, Observer, ReplayCounts};
 
 use crate::artifact::{ClusterBoundary, ModelArtifact, QualityBaseline, SamplingInfo};
 use crate::metrics::EngineMetrics;
@@ -125,6 +125,10 @@ enum Tracked {
 }
 
 /// Counters the engine accumulates over its lifetime.
+///
+/// A view, built by [`Engine::stats`]: every field except `new_clusters`
+/// and `tree_rebuilds` (which no event marks) is a field of the engine's
+/// fold of the events it emitted.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Assignments answered.
@@ -290,19 +294,17 @@ pub struct Engine {
     sampling: Option<SamplingInfo>,
     config: EngineConfig,
     initial_cores: usize,
-    stats: EngineStats,
+    /// Every event the engine has emitted, folded into counts (see
+    /// [`Engine::emit`]).
+    counts: ReplayCounts,
+    /// Promotions that spawned a brand-new cluster.
+    new_clusters: u64,
+    /// Times the core kd-tree was rebuilt.
+    tree_rebuilds: u64,
 }
 
 fn coord_key(x: &[f64]) -> Vec<u64> {
     x.iter().map(|v| v.to_bits()).collect()
-}
-
-/// Streams a completed window (and its alert, if raised) to the observer.
-fn emit_window(report: &WindowReport, obs: &mut dyn Observer) {
-    obs.event(&report.window_event());
-    if let Some(alert) = report.alert_event() {
-        obs.event(&alert);
-    }
 }
 
 impl Engine {
@@ -390,7 +392,9 @@ impl Engine {
             sampling: artifact.sampling,
             config,
             initial_cores: artifact.cores.len(),
-            stats: EngineStats::default(),
+            counts: ReplayCounts::default(),
+            new_clusters: 0,
+            tree_rebuilds: 0,
         }
     }
 
@@ -430,8 +434,37 @@ impl Engine {
     }
 
     /// Lifetime counters.
-    pub fn stats(&self) -> &EngineStats {
-        &self.stats
+    pub fn stats(&self) -> EngineStats {
+        let c = &self.counts;
+        EngineStats {
+            assigns: c.assigns,
+            assign_hits: c.assign_hits,
+            ingests: c.ingests,
+            duplicates: c.ingest_duplicates,
+            promotions: c.promotions,
+            new_clusters: self.new_clusters,
+            merges: c.merges,
+            removals: c.removals,
+            remove_misses: c.remove_misses,
+            demotions: c.demotions,
+            splits: c.splits,
+            tree_rebuilds: self.tree_rebuilds,
+        }
+    }
+
+    /// Counts `event` and forwards it to the observer: the one way an
+    /// event leaves the engine.
+    fn emit(&mut self, obs: &mut dyn Observer, event: Event) {
+        self.counts.record(&event);
+        obs.event(&event);
+    }
+
+    /// Emits a completed quality window, and its alert if one was raised.
+    fn emit_window(&mut self, report: &WindowReport, obs: &mut dyn Observer) {
+        self.emit(obs, report.window_event());
+        if let Some(alert) = report.alert_event() {
+            self.emit(obs, alert);
+        }
     }
 
     /// Fit-time SVDD boundaries, while still faithful (dropped on the
@@ -462,11 +495,12 @@ impl Engine {
     /// promotions, merges, removals, demotions, splits, and
     /// still-buffered points, per fitted core point.
     pub fn staleness(&self) -> f64 {
-        let drift = self.stats.promotions
-            + self.stats.merges
-            + self.stats.removals
-            + self.stats.demotions
-            + self.stats.splits
+        let c = &self.counts;
+        let drift = c.promotions
+            + c.merges
+            + c.removals
+            + c.demotions
+            + c.splits
             + self.buffered.len() as u64;
         drift as f64 / (self.initial_cores.max(1)) as f64
     }
@@ -485,7 +519,7 @@ impl Engine {
             tail_length: self.tail.len(),
             clusters: self.num_display,
             buffered_points: self.buffered.len(),
-            tree_rebuilds: self.stats.tree_rebuilds,
+            tree_rebuilds: self.tree_rebuilds,
             drift: None,
             sampling: self.sampling,
         }
@@ -558,12 +592,8 @@ impl Engine {
     /// [`Event::Assign`].
     pub fn assign_observed(&mut self, x: &[f64], obs: &mut dyn Observer) -> Assignment {
         let a = self.classify(x);
-        self.stats.assigns += 1;
         let hit = matches!(a, Assignment::Cluster(_));
-        if hit {
-            self.stats.assign_hits += 1;
-        }
-        obs.event(&Event::Assign { hit });
+        self.emit(obs, Event::Assign { hit });
         a
     }
 
@@ -648,12 +678,8 @@ impl Engine {
     /// [`Event::Assign`] per answer.
     fn record_batch_stats(&mut self, results: &[Assignment], obs: &mut dyn Observer) {
         for a in results {
-            self.stats.assigns += 1;
             let hit = matches!(a, Assignment::Cluster(_));
-            if hit {
-                self.stats.assign_hits += 1;
-            }
-            obs.event(&Event::Assign { hit });
+            self.emit(obs, Event::Assign { hit });
         }
     }
 
@@ -748,14 +774,10 @@ impl Engine {
         obs: &mut dyn Observer,
     ) -> Assignment {
         let (a, distance) = self.classify_scored(x);
-        self.stats.assigns += 1;
         let hit = matches!(a, Assignment::Cluster(_));
-        if hit {
-            self.stats.assign_hits += 1;
-        }
-        obs.event(&Event::Assign { hit });
+        self.emit(obs, Event::Assign { hit });
         if let Some(report) = monitor.observe_assign(a, distance) {
-            emit_window(&report, obs);
+            self.emit_window(&report, obs);
         }
         a
     }
@@ -771,7 +793,7 @@ impl Engine {
     ) -> IngestOutcome {
         let out = self.ingest_observed(x, obs);
         if let Some(report) = monitor.observe_ingest(out) {
-            emit_window(&report, obs);
+            self.emit_window(&report, obs);
         }
         out
     }
@@ -788,14 +810,15 @@ impl Engine {
     /// [`Event::Promote`] / [`Event::Merge`] as appropriate.
     pub fn ingest_observed(&mut self, x: &[f64], obs: &mut dyn Observer) -> IngestOutcome {
         assert_eq!(x.len(), self.dims, "query dimensionality mismatch");
-        self.stats.ingests += 1;
         let key = coord_key(x);
         if self.tracked.contains_key(&key) {
-            self.stats.duplicates += 1;
-            obs.event(&Event::Ingest {
-                core: false,
-                duplicate: true,
-            });
+            self.emit(
+                obs,
+                Event::Ingest {
+                    core: false,
+                    duplicate: true,
+                },
+            );
             return IngestOutcome::Duplicate;
         }
 
@@ -818,12 +841,9 @@ impl Engine {
         }
         let count = 1 + core_hits.len() as u32 + buffered_hits;
 
-        let outcome = if count >= self.min_pts {
+        let core = count >= self.min_pts;
+        let outcome = if core {
             let cluster = self.promote(x, &core_hits, count, obs);
-            obs.event(&Event::Ingest {
-                core: true,
-                duplicate: false,
-            });
             IngestOutcome::Core { cluster }
         } else {
             let nearest = self.nearest_of(x, &core_hits);
@@ -833,10 +853,6 @@ impl Engine {
                 count,
             });
             self.tracked.insert(key, Tracked::Buffered(idx));
-            obs.event(&Event::Ingest {
-                core: false,
-                duplicate: false,
-            });
             match nearest {
                 Some(slot) => IngestOutcome::Border {
                     cluster: self.display[slot as usize],
@@ -844,6 +860,13 @@ impl Engine {
                 None => IngestOutcome::Buffered,
             }
         };
+        self.emit(
+            obs,
+            Event::Ingest {
+                core,
+                duplicate: false,
+            },
+        );
 
         // Promote ripe buffered points. Promotion adds cores but never
         // changes tracked-neighbor counts (the promoted point was already
@@ -949,11 +972,13 @@ impl Engine {
         let label = match labels.split_first() {
             Some((&first, rest)) => {
                 for &r in rest {
-                    obs.event(&Event::Merge {
-                        existing: first,
-                        expanding: r,
-                    });
-                    self.stats.merges += 1;
+                    self.emit(
+                        obs,
+                        Event::Merge {
+                            existing: first,
+                            expanding: r,
+                        },
+                    );
                 }
                 if !rest.is_empty() {
                     self.merge_labels(first, rest);
@@ -961,7 +986,7 @@ impl Engine {
                 first
             }
             None => {
-                self.stats.new_clusters += 1;
+                self.new_clusters += 1;
                 self.num_display += 1;
                 (self.num_display - 1) as u32
             }
@@ -977,12 +1002,11 @@ impl Engine {
         self.core_counts.push(count);
         self.display.push(label);
         self.tracked.insert(coord_key(x), Tracked::Core(slot));
-        self.stats.promotions += 1;
         // Topology changed: drop the stale boundaries and quality
         // baseline (both indexed by fitted ids).
         self.boundaries = None;
         self.quality = None;
-        obs.event(&Event::Promote { cluster: label });
+        self.emit(obs, Event::Promote { cluster: label });
         if self.tail.len() >= REBUILD_MIN_TAIL.max(self.tree.len() / 4) {
             self.rebuild_tree();
         }
@@ -1025,19 +1049,23 @@ impl Engine {
         assert_eq!(x.len(), self.dims, "query dimensionality mismatch");
         let key = coord_key(x);
         let Some(entry) = self.tracked.remove(&key) else {
-            self.stats.remove_misses += 1;
-            obs.event(&Event::Remove {
-                core: false,
-                found: false,
-            });
+            self.emit(
+                obs,
+                Event::Remove {
+                    core: false,
+                    found: false,
+                },
+            );
             return RemoveOutcome::NotFound;
         };
         let was_core = matches!(entry, Tracked::Core(_));
-        self.stats.removals += 1;
-        obs.event(&Event::Remove {
-            core: was_core,
-            found: true,
-        });
+        self.emit(
+            obs,
+            Event::Remove {
+                core: was_core,
+                found: true,
+            },
+        );
 
         // Detach the point from the tracked set.
         match entry {
@@ -1074,10 +1102,12 @@ impl Engine {
         }
         let demoted_n = demoted.len() as u32;
         for d in demoted {
-            obs.event(&Event::Demote {
-                cluster: self.display[d as usize],
-            });
-            self.stats.demotions += 1;
+            self.emit(
+                obs,
+                Event::Demote {
+                    cluster: self.display[d as usize],
+                },
+            );
             // The demoted core rejoins the buffer with its tracked count.
             let coords = self.core_point(d).to_vec();
             self.alive[d as usize] = false;
@@ -1109,24 +1139,6 @@ impl Engine {
     /// [`Engine::remove_observed`] without observation.
     pub fn remove(&mut self, x: &[f64]) -> RemoveOutcome {
         self.remove_observed(x, &mut NoopObserver)
-    }
-
-    /// Removes a batch of observations, one by one in order (removal is
-    /// inherently sequential — each one may restructure what the next
-    /// sees).
-    pub fn remove_batch_observed(
-        &mut self,
-        points: &PointSet,
-        obs: &mut dyn Observer,
-    ) -> Vec<RemoveOutcome> {
-        (0..points.len())
-            .map(|i| self.remove_observed(points.point(i as u32), obs))
-            .collect()
-    }
-
-    /// [`Engine::remove_batch_observed`] without observation.
-    pub fn remove_batch(&mut self, points: &PointSet) -> Vec<RemoveOutcome> {
-        self.remove_batch_observed(points, &mut NoopObserver)
     }
 
     /// [`Engine::remove`] with per-call latency recorded into `metrics`
@@ -1186,10 +1198,12 @@ impl Engine {
                     }
                 }
                 self.num_display += pieces - 1;
-                self.stats.splits += (pieces - 1) as u64;
-                obs.event(&Event::Split {
-                    pieces: pieces as u32,
-                });
+                self.emit(
+                    obs,
+                    Event::Split {
+                        pieces: pieces as u32,
+                    },
+                );
                 (pieces - 1) as u32
             }
         }
@@ -1239,7 +1253,7 @@ impl Engine {
         self.dead = 0;
         self.tail = PointSet::new(self.dims);
         self.tree = OwnedKdTree::build(points);
-        self.stats.tree_rebuilds += 1;
+        self.tree_rebuilds += 1;
     }
 }
 

@@ -15,10 +15,10 @@
 //!   MinPts-gated core promotion and union–find merging, scoped-thread
 //!   batch fan-out, and a staleness heuristic that recommends re-fitting;
 //! * [`EngineMetrics`] ([`metrics`]) — a pre-wired telemetry registry:
-//!   counters mirroring [`EngineStats`], health gauges mirroring
-//!   [`HealthSnapshot`], and per-call latency histograms filled by the
-//!   engine's `*_metered` methods. Exposed as Prometheus text or JSON via
-//!   `dbsvec_obs::telemetry::expo`;
+//!   counters showing [`EngineStats`] (itself a view of the engine's fold
+//!   of the events it emits), health gauges showing [`HealthSnapshot`],
+//!   and per-call latency histograms. Exposed as Prometheus text or JSON
+//!   via `dbsvec_obs::telemetry::expo`;
 //! * [`QualityMonitor`] ([`monitor`]) — online drift detection: the fit
 //!   records a [`QualityBaseline`] into the artifact, the monitor windows
 //!   live traffic into the same distributions and scores histogram,

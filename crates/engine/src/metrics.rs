@@ -1,77 +1,205 @@
 //! Engine telemetry: a pre-wired [`Registry`] for the serving paths.
 //!
 //! [`EngineMetrics`] owns a `dbsvec-obs` telemetry registry with every
-//! serving metric pre-registered: lifetime counters mirroring
-//! [`EngineStats`](crate::EngineStats), health gauges mirroring
-//! [`HealthSnapshot`](crate::HealthSnapshot), and per-call latency
-//! histograms for assignment and ingest.
+//! serving metric pre-registered from tables of `(name, help, value)`
+//! rows: lifetime counters showing [`EngineStats`] fields, health gauges
+//! showing [`HealthSnapshot`] fields, the quality monitor's counters and
+//! gauges, and per-call latency histograms.
 //!
-//! The split of responsibilities avoids double counting:
-//!
-//! * **Counters** are never incremented per call. [`EngineMetrics::refresh`]
-//!   overwrites them from the engine's own cumulative
-//!   [`EngineStats`](crate::EngineStats)
-//!   (which is monotone), so the registry always agrees with the engine no
-//!   matter how many calls happened between refreshes.
-//! * **Gauges** are point-in-time reads of [`Engine::health`], also set by
-//!   `refresh`.
-//! * **Latency histograms** are the only per-call state, filled by the
-//!   engine's `*_metered` methods ([`Engine::assign_metered`],
-//!   [`Engine::assign_batch_metered`], [`Engine::ingest_metered`]).
-//!   The plain `assign`/`ingest` paths never touch telemetry, so the
-//!   disabled-telemetry cost is exactly zero — the bench overhead guard
-//!   pins this.
+//! * **Counters and gauges** are never incremented per call.
+//!   [`EngineMetrics::refresh`] overwrites them from the engine's
+//!   [`EngineStats`] — a view of the engine's own event fold, so the
+//!   registry, the stats and a replayed trace read one source — and from
+//!   its current [`HealthSnapshot`]. Both are authoritative, so any
+//!   refresh cadence gives the same numbers.
+//! * **Latency histograms** are the only per-call state, filled by
+//!   whoever times the call: the engine's `*_metered` methods and
+//!   [`Engine::assign_many`] / [`Engine::remove_many`], or a caller timing
+//!   a larger unit itself (the HTTP router times each locked shard call,
+//!   the CLI each ingest or removal) through [`EngineMetrics::record_assign`]
+//!   and its siblings. The plain `assign`/`ingest` paths never touch
+//!   telemetry, so the disabled-telemetry cost is exactly zero — the bench
+//!   overhead guard pins this.
 //! * **Snapshot I/O** is counted by explicit
 //!   [`EngineMetrics::inc_snapshot_write`] /
 //!   [`EngineMetrics::inc_snapshot_load`] calls at the persistence call
-//!   sites, because `EngineStats` does not track it.
+//!   sites, because no engine operation performs it.
 
 use std::time::Duration;
 
 use dbsvec_obs::telemetry::{CounterId, GaugeId, Histogram, HistogramId, HistogramMetric};
 use dbsvec_obs::Registry;
 
-use crate::engine::Engine;
+use crate::engine::{Engine, EngineStats, HealthSnapshot};
 use crate::monitor::QualityMonitor;
+
+/// One metric: name, help text, and how to read its value from `S`.
+type Row<S, T> = (&'static str, &'static str, fn(&S) -> T);
+
+/// Lifetime counters, in registration (and so exposition) order.
+const STAT_COUNTERS: [Row<EngineStats, u64>; 12] = [
+    ("dbsvec_assigns_total", "Assignments answered.", |s| {
+        s.assigns
+    }),
+    (
+        "dbsvec_assign_hits_total",
+        "Assignments that landed in a cluster.",
+        |s| s.assign_hits,
+    ),
+    (
+        "dbsvec_ingests_total",
+        "Observations ingested (including duplicates).",
+        |s| s.ingests,
+    ),
+    (
+        "dbsvec_ingest_duplicates_total",
+        "Ingests dropped as exact duplicates.",
+        |s| s.duplicates,
+    ),
+    (
+        "dbsvec_promotions_total",
+        "Points promoted to core (at ingest or from the buffer).",
+        |s| s.promotions,
+    ),
+    (
+        "dbsvec_new_clusters_total",
+        "Promotions that spawned a brand-new cluster.",
+        |s| s.new_clusters,
+    ),
+    (
+        "dbsvec_merges_total",
+        "Cluster merges caused by promotions.",
+        |s| s.merges,
+    ),
+    (
+        "dbsvec_removals_total",
+        "Tracked observations removed (found).",
+        |s| s.removals,
+    ),
+    (
+        "dbsvec_remove_misses_total",
+        "Removal requests for untracked points.",
+        |s| s.remove_misses,
+    ),
+    (
+        "dbsvec_demotions_total",
+        "Cores demoted below MinPts by removals.",
+        |s| s.demotions,
+    ),
+    (
+        "dbsvec_splits_total",
+        "Extra cluster pieces created by removal repairs.",
+        |s| s.splits,
+    ),
+    (
+        "dbsvec_tree_rebuilds_total",
+        "Core kd-tree rebuilds folding in the promotion tail.",
+        |s| s.tree_rebuilds,
+    ),
+];
+
+/// The quality monitor's counters, registered after the snapshot I/O
+/// counters.
+const MONITOR_COUNTERS: [Row<QualityMonitor, u64>; 2] = [
+    (
+        "dbsvec_quality_windows_total",
+        "Quality-monitor tumbling windows completed.",
+        |m| m.windows_completed(),
+    ),
+    (
+        "dbsvec_drift_alerts_total",
+        "Windows whose smoothed drift score crossed the threshold.",
+        |m| m.alerts(),
+    ),
+];
+
+/// Point-in-time health gauges.
+const HEALTH_GAUGES: [Row<HealthSnapshot, f64>; 6] = [
+    (
+        "dbsvec_staleness_ratio",
+        "Accumulated topology drift per fitted core point.",
+        |h| h.staleness,
+    ),
+    (
+        "dbsvec_refit_recommended",
+        "1 when drift passed the re-fit threshold, else 0.",
+        |h| f64::from(h.refit_recommended),
+    ),
+    (
+        "dbsvec_core_points",
+        "Current core points (fitted + promoted).",
+        |h| h.core_points as f64,
+    ),
+    (
+        "dbsvec_tail_length",
+        "Promoted cores awaiting the next kd-tree rebuild.",
+        |h| h.tail_length as f64,
+    ),
+    ("dbsvec_clusters", "Current number of clusters.", |h| {
+        h.clusters as f64
+    }),
+    (
+        "dbsvec_buffered_points",
+        "Observations buffered below the density threshold.",
+        |h| h.buffered_points as f64,
+    ),
+];
+
+/// The quality monitor's gauges; the drift signals read 0 until a window
+/// with a baseline completes.
+const MONITOR_GAUGES: [Row<QualityMonitor, f64>; 7] = [
+    (
+        "dbsvec_quality_baseline_present",
+        "1 when the monitor scores against a fit-time baseline, 0 in degraded mode.",
+        |m| f64::from(m.has_baseline()),
+    ),
+    (
+        "dbsvec_drift_score",
+        "Raw combined drift score of the last completed window.",
+        |m| m.signals().map_or(0.0, |s| s.score),
+    ),
+    (
+        "dbsvec_drift_score_smoothed",
+        "EWMA-smoothed drift score (the alerting quantity).",
+        |m| m.signals().map_or(0.0, |s| s.smoothed_score),
+    ),
+    (
+        "dbsvec_drift_hist_distance",
+        "Assign-distance histogram drift vs the baseline, last window.",
+        |m| m.signals().map_or(0.0, |s| s.hist_distance),
+    ),
+    (
+        "dbsvec_drift_occupancy_shift",
+        "Occupancy-share total variation vs the baseline, last window.",
+        |m| m.signals().map_or(0.0, |s| s.occupancy_shift),
+    ),
+    (
+        "dbsvec_drift_noise_delta",
+        "Absolute noise-rate change vs the baseline, last window.",
+        |m| m.signals().map_or(0.0, |s| s.noise_delta),
+    ),
+    (
+        "dbsvec_noise_rate_window",
+        "Noise rate of the last completed window.",
+        |m| m.window_noise_rate().unwrap_or(0.0),
+    ),
+];
 
 /// A telemetry registry pre-wired with the engine's serving metrics.
 #[derive(Clone, Debug)]
 pub struct EngineMetrics {
     reg: Registry,
-    assigns: CounterId,
-    assign_hits: CounterId,
-    ingests: CounterId,
-    duplicates: CounterId,
-    promotions: CounterId,
-    new_clusters: CounterId,
-    merges: CounterId,
-    removals: CounterId,
-    remove_misses: CounterId,
-    demotions: CounterId,
-    splits: CounterId,
-    tree_rebuilds: CounterId,
+    /// Registry ids of each table above, same order.
+    stat_counters: [CounterId; STAT_COUNTERS.len()],
+    monitor_counters: [CounterId; MONITOR_COUNTERS.len()],
+    health_gauges: [GaugeId; HEALTH_GAUGES.len()],
+    monitor_gauges: [GaugeId; MONITOR_GAUGES.len()],
     snapshot_writes: CounterId,
     snapshot_loads: CounterId,
-    staleness: GaugeId,
-    refit_recommended: GaugeId,
-    core_points: GaugeId,
-    tail_length: GaugeId,
-    clusters: GaugeId,
-    buffered_points: GaugeId,
     assign_latency: HistogramId,
     ingest_latency: HistogramId,
     remove_latency: HistogramId,
     split_latency: HistogramId,
-    // Quality-monitor metrics, set by `refresh_with_monitor`.
-    quality_windows: CounterId,
-    drift_alerts: CounterId,
-    quality_baseline_present: GaugeId,
-    drift_score: GaugeId,
-    drift_score_smoothed: GaugeId,
-    drift_hist_distance: GaugeId,
-    drift_occupancy_shift: GaugeId,
-    drift_noise_delta: GaugeId,
-    noise_rate_window: GaugeId,
     /// Per-cluster occupancy gauges (`dbsvec_cluster_occupancy_c<N>`),
     /// registered lazily as clusters appear in completed windows.
     cluster_occupancy: Vec<GaugeId>,
@@ -88,51 +216,7 @@ impl EngineMetrics {
     /// `dbsvec_*` names.
     pub fn new() -> Self {
         let mut reg = Registry::new();
-        let assigns = reg.counter("dbsvec_assigns_total", "Assignments answered.");
-        let assign_hits = reg.counter(
-            "dbsvec_assign_hits_total",
-            "Assignments that landed in a cluster.",
-        );
-        let ingests = reg.counter(
-            "dbsvec_ingests_total",
-            "Observations ingested (including duplicates).",
-        );
-        let duplicates = reg.counter(
-            "dbsvec_ingest_duplicates_total",
-            "Ingests dropped as exact duplicates.",
-        );
-        let promotions = reg.counter(
-            "dbsvec_promotions_total",
-            "Points promoted to core (at ingest or from the buffer).",
-        );
-        let new_clusters = reg.counter(
-            "dbsvec_new_clusters_total",
-            "Promotions that spawned a brand-new cluster.",
-        );
-        let merges = reg.counter(
-            "dbsvec_merges_total",
-            "Cluster merges caused by promotions.",
-        );
-        let removals = reg.counter(
-            "dbsvec_removals_total",
-            "Tracked observations removed (found).",
-        );
-        let remove_misses = reg.counter(
-            "dbsvec_remove_misses_total",
-            "Removal requests for untracked points.",
-        );
-        let demotions = reg.counter(
-            "dbsvec_demotions_total",
-            "Cores demoted below MinPts by removals.",
-        );
-        let splits = reg.counter(
-            "dbsvec_splits_total",
-            "Extra cluster pieces created by removal repairs.",
-        );
-        let tree_rebuilds = reg.counter(
-            "dbsvec_tree_rebuilds_total",
-            "Core kd-tree rebuilds folding in the promotion tail.",
-        );
+        let stat_counters = STAT_COUNTERS.map(|(name, help, _)| reg.counter(name, help));
         let snapshot_writes = reg.counter(
             "dbsvec_snapshot_writes_total",
             "Model snapshots serialized.",
@@ -141,156 +225,58 @@ impl EngineMetrics {
             "dbsvec_snapshot_loads_total",
             "Model snapshots deserialized.",
         );
-        let staleness = reg.gauge(
-            "dbsvec_staleness_ratio",
-            "Accumulated topology drift per fitted core point.",
-        );
-        let refit_recommended = reg.gauge(
-            "dbsvec_refit_recommended",
-            "1 when drift passed the re-fit threshold, else 0.",
-        );
-        let core_points = reg.gauge(
-            "dbsvec_core_points",
-            "Current core points (fitted + promoted).",
-        );
-        let tail_length = reg.gauge(
-            "dbsvec_tail_length",
-            "Promoted cores awaiting the next kd-tree rebuild.",
-        );
-        let clusters = reg.gauge("dbsvec_clusters", "Current number of clusters.");
-        let buffered_points = reg.gauge(
-            "dbsvec_buffered_points",
-            "Observations buffered below the density threshold.",
-        );
-        let assign_latency = reg.histogram(
+        let monitor_counters = MONITOR_COUNTERS.map(|(name, help, _)| reg.counter(name, help));
+        let health_gauges = HEALTH_GAUGES.map(|(name, help, _)| reg.gauge(name, help));
+        let monitor_gauges = MONITOR_GAUGES.map(|(name, help, _)| reg.gauge(name, help));
+        let mut latency = |name: &str, help: &str| reg.histogram(name, help, 1e9);
+        let assign_latency = latency(
             "dbsvec_assign_latency_seconds",
             "Per-call assignment latency.",
-            1e9,
         );
-        let ingest_latency = reg.histogram(
-            "dbsvec_ingest_latency_seconds",
-            "Per-call ingest latency.",
-            1e9,
-        );
-        let remove_latency = reg.histogram(
+        let ingest_latency = latency("dbsvec_ingest_latency_seconds", "Per-call ingest latency.");
+        let remove_latency = latency(
             "dbsvec_remove_latency_seconds",
             "Per-call removal latency (repair included).",
-            1e9,
         );
-        let split_latency = reg.histogram(
+        let split_latency = latency(
             "dbsvec_split_repair_latency_seconds",
             "Latency of removals whose repair split a cluster.",
-            1e9,
-        );
-        let quality_windows = reg.counter(
-            "dbsvec_quality_windows_total",
-            "Quality-monitor tumbling windows completed.",
-        );
-        let drift_alerts = reg.counter(
-            "dbsvec_drift_alerts_total",
-            "Windows whose smoothed drift score crossed the threshold.",
-        );
-        let quality_baseline_present = reg.gauge(
-            "dbsvec_quality_baseline_present",
-            "1 when the monitor scores against a fit-time baseline, 0 in degraded mode.",
-        );
-        let drift_score = reg.gauge(
-            "dbsvec_drift_score",
-            "Raw combined drift score of the last completed window.",
-        );
-        let drift_score_smoothed = reg.gauge(
-            "dbsvec_drift_score_smoothed",
-            "EWMA-smoothed drift score (the alerting quantity).",
-        );
-        let drift_hist_distance = reg.gauge(
-            "dbsvec_drift_hist_distance",
-            "Assign-distance histogram drift vs the baseline, last window.",
-        );
-        let drift_occupancy_shift = reg.gauge(
-            "dbsvec_drift_occupancy_shift",
-            "Occupancy-share total variation vs the baseline, last window.",
-        );
-        let drift_noise_delta = reg.gauge(
-            "dbsvec_drift_noise_delta",
-            "Absolute noise-rate change vs the baseline, last window.",
-        );
-        let noise_rate_window = reg.gauge(
-            "dbsvec_noise_rate_window",
-            "Noise rate of the last completed window.",
         );
         Self {
             reg,
-            assigns,
-            assign_hits,
-            ingests,
-            duplicates,
-            promotions,
-            new_clusters,
-            merges,
-            removals,
-            remove_misses,
-            demotions,
-            splits,
-            tree_rebuilds,
+            stat_counters,
+            monitor_counters,
+            health_gauges,
+            monitor_gauges,
             snapshot_writes,
             snapshot_loads,
-            staleness,
-            refit_recommended,
-            core_points,
-            tail_length,
-            clusters,
-            buffered_points,
             assign_latency,
             ingest_latency,
             remove_latency,
             split_latency,
-            quality_windows,
-            drift_alerts,
-            quality_baseline_present,
-            drift_score,
-            drift_score_smoothed,
-            drift_hist_distance,
-            drift_occupancy_shift,
-            drift_noise_delta,
-            noise_rate_window,
             cluster_occupancy: Vec::new(),
         }
     }
 
-    /// Overwrites counters from the engine's cumulative
-    /// [`EngineStats`](crate::EngineStats)
-    /// and gauges from its current [`HealthSnapshot`](crate::HealthSnapshot).
-    /// Safe to call at any cadence; both sources are authoritative.
+    /// Overwrites counters from the engine's cumulative [`EngineStats`]
+    /// and gauges from its current [`HealthSnapshot`]. Safe to call at any
+    /// cadence; both sources are authoritative.
     pub fn refresh(&mut self, engine: &Engine) {
-        self.refresh_from_parts(engine.stats(), &engine.health());
+        self.refresh_from_parts(&engine.stats(), &engine.health());
     }
 
     /// [`EngineMetrics::refresh`] from already-captured parts. The HTTP
     /// router uses this to publish one aggregate registry over N shards:
-    /// it sums the shards' [`EngineStats`](crate::EngineStats) (all
-    /// counters are additive) and folds their
-    /// [`HealthSnapshot`](crate::HealthSnapshot)s (counts sum, staleness
-    /// takes the max, refit ORs) before refreshing.
-    pub fn refresh_from_parts(&mut self, s: &crate::EngineStats, h: &crate::HealthSnapshot) {
-        self.reg.set_counter(self.assigns, s.assigns);
-        self.reg.set_counter(self.assign_hits, s.assign_hits);
-        self.reg.set_counter(self.ingests, s.ingests);
-        self.reg.set_counter(self.duplicates, s.duplicates);
-        self.reg.set_counter(self.promotions, s.promotions);
-        self.reg.set_counter(self.new_clusters, s.new_clusters);
-        self.reg.set_counter(self.merges, s.merges);
-        self.reg.set_counter(self.removals, s.removals);
-        self.reg.set_counter(self.remove_misses, s.remove_misses);
-        self.reg.set_counter(self.demotions, s.demotions);
-        self.reg.set_counter(self.splits, s.splits);
-        self.reg.set_counter(self.tree_rebuilds, s.tree_rebuilds);
-        self.reg.set(self.staleness, h.staleness);
-        self.reg
-            .set(self.refit_recommended, f64::from(h.refit_recommended));
-        self.reg.set(self.core_points, h.core_points as f64);
-        self.reg.set(self.tail_length, h.tail_length as f64);
-        self.reg.set(self.clusters, h.clusters as f64);
-        self.reg.set(self.buffered_points, h.buffered_points as f64);
+    /// it sums the shards' [`EngineStats`] (all counters are additive) and
+    /// folds their [`HealthSnapshot`]s (counts sum, staleness takes the
+    /// max, refit ORs) before refreshing.
+    pub fn refresh_from_parts(&mut self, s: &EngineStats, h: &HealthSnapshot) {
+        for (&id, (_, _, value)) in self.stat_counters.iter().zip(&STAT_COUNTERS) {
+            self.reg.set_counter(id, value(s));
+        }
+        for (&id, (_, _, value)) in self.health_gauges.iter().zip(&HEALTH_GAUGES) {
+            self.reg.set(id, value(h));
+        }
     }
 
     /// [`EngineMetrics::refresh`] plus the quality monitor's state:
@@ -298,37 +284,15 @@ impl EngineMetrics {
     /// rate, and lazily registered per-cluster occupancy gauges
     /// (`dbsvec_cluster_occupancy_c<N>`, the registry has no label
     /// support). The refit gauge reflects the combined evidence of
-    /// [`Engine::health_with`](crate::Engine::health_with).
+    /// [`Engine::health_with`].
     pub fn refresh_with_monitor(&mut self, engine: &Engine, monitor: &QualityMonitor) {
-        self.refresh(engine);
-        let h = engine.health_with(monitor);
-        self.reg
-            .set(self.refit_recommended, f64::from(h.refit_recommended));
-        self.reg
-            .set_counter(self.quality_windows, monitor.windows_completed());
-        self.reg.set_counter(self.drift_alerts, monitor.alerts());
-        self.reg.set(
-            self.quality_baseline_present,
-            f64::from(monitor.has_baseline()),
-        );
-        let s = h.drift;
-        self.reg.set(self.drift_score, s.map_or(0.0, |s| s.score));
-        self.reg.set(
-            self.drift_score_smoothed,
-            s.map_or(0.0, |s| s.smoothed_score),
-        );
-        self.reg
-            .set(self.drift_hist_distance, s.map_or(0.0, |s| s.hist_distance));
-        self.reg.set(
-            self.drift_occupancy_shift,
-            s.map_or(0.0, |s| s.occupancy_shift),
-        );
-        self.reg
-            .set(self.drift_noise_delta, s.map_or(0.0, |s| s.noise_delta));
-        self.reg.set(
-            self.noise_rate_window,
-            monitor.window_noise_rate().unwrap_or(0.0),
-        );
+        self.refresh_from_parts(&engine.stats(), &engine.health_with(monitor));
+        for (&id, (_, _, value)) in self.monitor_counters.iter().zip(&MONITOR_COUNTERS) {
+            self.reg.set_counter(id, value(monitor));
+        }
+        for (&id, (_, _, value)) in self.monitor_gauges.iter().zip(&MONITOR_GAUGES) {
+            self.reg.set(id, value(monitor));
+        }
         let shares = monitor.window_shares();
         while self.cluster_occupancy.len() < shares.len() {
             let c = self.cluster_occupancy.len();
@@ -564,7 +528,7 @@ mod tests {
         engine_a.assign(&[2.0, 0.5]);
         engine_a.assign(&[2.0, 50.0]);
         engine_b.assign(&[3.0, 0.5]);
-        let mut stats = *engine_a.stats();
+        let mut stats = engine_a.stats();
         let b = engine_b.stats();
         stats.assigns += b.assigns;
         stats.assign_hits += b.assign_hits;

@@ -19,155 +19,11 @@ use crate::event::{Event, Phase};
 use crate::json::Json;
 use crate::observer::Observer;
 
-/// Encodes an event as a flat JSON object: `{"event":"<name>", ...fields}`.
+/// Encodes an event as a flat JSON object: `{"event":"<name>", ...fields}`,
+/// the fields in the order the event table declares them.
 pub fn event_to_json(event: &Event) -> Json {
     let mut pairs: Vec<(String, Json)> = vec![("event".to_string(), Json::str(event.name()))];
-    let mut push = |k: &str, v: Json| pairs.push((k.to_string(), v));
-    match *event {
-        Event::Seed {
-            point,
-            neighborhood_len,
-        } => {
-            push("point", Json::UInt(point as u64));
-            push("neighborhood_len", Json::UInt(neighborhood_len as u64));
-        }
-        Event::RangeQuery { probe, result_len } => {
-            push("probe", Json::UInt(probe as u64));
-            push("result_len", Json::UInt(result_len as u64));
-        }
-        Event::SmoSolve {
-            target_size,
-            iterations,
-            cache_hits,
-            cache_misses,
-            warm_started,
-            converged,
-            initial_kkt_violation_e6,
-        } => {
-            push("target_size", Json::UInt(target_size as u64));
-            push("iterations", Json::UInt(iterations as u64));
-            push("cache_hits", Json::UInt(cache_hits));
-            push("cache_misses", Json::UInt(cache_misses));
-            push("warm_started", Json::Bool(warm_started));
-            push("converged", Json::Bool(converged));
-            push(
-                "initial_kkt_violation_e6",
-                Json::UInt(initial_kkt_violation_e6),
-            );
-        }
-        Event::ExpansionRound {
-            cluster,
-            round,
-            target_size,
-            n_sv,
-            n_core_sv,
-            smo_iters,
-        } => {
-            push("cluster", Json::UInt(cluster as u64));
-            push("round", Json::UInt(round as u64));
-            push("target_size", Json::UInt(target_size as u64));
-            push("n_sv", Json::UInt(n_sv as u64));
-            push("n_core_sv", Json::UInt(n_core_sv as u64));
-            push("smo_iters", Json::UInt(smo_iters as u64));
-        }
-        Event::Merge {
-            existing,
-            expanding,
-        } => {
-            push("existing", Json::UInt(existing as u64));
-            push("expanding", Json::UInt(expanding as u64));
-        }
-        Event::NoiseVerdict { point, confirmed } => {
-            push("point", Json::UInt(point as u64));
-            push("confirmed", Json::Bool(confirmed));
-        }
-        Event::Sample {
-            candidates,
-            total,
-            rate_e6,
-        } => {
-            push("candidates", Json::UInt(candidates as u64));
-            push("total", Json::UInt(total as u64));
-            push("rate_e6", Json::UInt(rate_e6));
-        }
-        Event::Attach { point, attached } => {
-            push("point", Json::UInt(point as u64));
-            push("attached", Json::Bool(attached));
-        }
-        Event::Assign { hit } => {
-            push("hit", Json::Bool(hit));
-        }
-        Event::Ingest { core, duplicate } => {
-            push("core", Json::Bool(core));
-            push("duplicate", Json::Bool(duplicate));
-        }
-        Event::Promote { cluster } => {
-            push("cluster", Json::UInt(cluster as u64));
-        }
-        Event::Remove { core, found } => {
-            push("core", Json::Bool(core));
-            push("found", Json::Bool(found));
-        }
-        Event::Demote { cluster } => {
-            push("cluster", Json::UInt(cluster as u64));
-        }
-        Event::Split { pieces } => {
-            push("pieces", Json::UInt(pieces as u64));
-        }
-        Event::SnapshotWrite { bytes } => {
-            push("bytes", Json::UInt(bytes));
-        }
-        Event::SnapshotLoad { bytes } => {
-            push("bytes", Json::UInt(bytes));
-        }
-        Event::QualityWindow {
-            window,
-            samples,
-            drift_score_e6,
-            hist_distance_e6,
-            occupancy_shift_e6,
-            noise_delta_e6,
-            baseline,
-        } => {
-            push("window", Json::UInt(window));
-            push("samples", Json::UInt(samples));
-            push("drift_score_e6", Json::UInt(drift_score_e6));
-            push("hist_distance_e6", Json::UInt(hist_distance_e6));
-            push("occupancy_shift_e6", Json::UInt(occupancy_shift_e6));
-            push("noise_delta_e6", Json::UInt(noise_delta_e6));
-            push("baseline", Json::Bool(baseline));
-        }
-        Event::DriftAlert {
-            window,
-            drift_score_e6,
-            threshold_e6,
-        } => {
-            push("window", Json::UInt(window));
-            push("drift_score_e6", Json::UInt(drift_score_e6));
-            push("threshold_e6", Json::UInt(threshold_e6));
-        }
-        Event::HttpRequest {
-            ref endpoint,
-            status,
-            points,
-            request_id,
-            duration_us,
-            stages,
-        } => {
-            push("endpoint", Json::Str(endpoint.clone()));
-            push("status", Json::UInt(status as u64));
-            push("points", Json::UInt(points));
-            push("request_id", Json::UInt(request_id));
-            push("duration_us", Json::UInt(duration_us));
-            push("queue_us", Json::UInt(stages.queue_us));
-            push("parse_us", Json::UInt(stages.parse_us));
-            push("route_us", Json::UInt(stages.route_us));
-            push("lock_us", Json::UInt(stages.lock_us));
-            push("engine_us", Json::UInt(stages.engine_us));
-            push("serialize_us", Json::UInt(stages.serialize_us));
-            push("write_us", Json::UInt(stages.write_us));
-        }
-    }
+    event.encode_fields(&mut pairs);
     Json::Obj(pairs)
 }
 

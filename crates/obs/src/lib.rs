@@ -7,11 +7,17 @@
 //!
 //! * [`Observer`] — the trait instrumented algorithms report into:
 //!   span-style phase timing ([`Phase`]) plus typed [`Event`]s for range
-//!   queries, expansion rounds, SMO solves, merges, and noise verdicts.
+//!   queries, expansion rounds, SMO solves, merges, noise verdicts, and
+//!   the serving and HTTP tiers. Each event is declared once, in a table
+//!   that also generates its name and its jsonl encoding and decoding.
+//! * [`ReplayCounts`] — the one fold from events to counts. The fit and
+//!   the serving engine fold every event they emit through it and build
+//!   their stats from that fold, so replaying a trace reproduces them
+//!   exactly.
 //! * [`NoopObserver`] — the default; every callback is an empty inlineable
 //!   body, so un-observed runs pay nothing.
 //! * [`RecordingObserver`] — in-memory, queryable: phase timings, event
-//!   slices, and [`ReplayCounts`] reconstruction for tests and `--profile`.
+//!   slices, and their [`ReplayCounts`] for tests and `--profile`.
 //! * [`JsonlSink`] — streams every callback as one JSON object per line to
 //!   any `io::Write` (the CLI's `--trace out.jsonl`).
 //! * [`Tee`] — fan out one instrumented run to two observers (e.g. record
@@ -20,7 +26,7 @@
 //! * [`telemetry`] — serving metrics: a [`Registry`] of named counters,
 //!   gauges, and log-linear latency [`Histogram`]s; Prometheus/JSON
 //!   exposition; and a [`MetricsObserver`] bridging this trait seam into
-//!   the registry.
+//!   the registry, its counters a view of its own [`ReplayCounts`] fold.
 //! * [`json`] — the hand-rolled JSON value writer everything above (and
 //!   the bench harness's `BENCH_*.json` output) shares. No external
 //!   dependencies anywhere in this crate.

@@ -83,22 +83,6 @@ impl RecordingObserver {
         })
     }
 
-    /// Number of recorded [`Event::RangeQuery`]s.
-    pub fn range_query_count(&self) -> u64 {
-        self.events()
-            .filter(|e| matches!(e, Event::RangeQuery { .. }))
-            .count() as u64
-    }
-
-    /// θ recomputed from the recorded range-query events.
-    pub fn theta(&self, n: usize) -> f64 {
-        if n == 0 {
-            0.0
-        } else {
-            self.range_query_count() as f64 / n as f64
-        }
-    }
-
     /// Replays the recorded events into cost counters (see
     /// [`ReplayCounts`]); these must match the run's `DbsvecStats` exactly.
     pub fn replay(&self) -> ReplayCounts {
@@ -201,10 +185,9 @@ mod tests {
         });
         obs.span_exit(Phase::Init);
         assert_eq!(obs.records().len(), 5);
-        assert_eq!(obs.range_query_count(), 2);
-        assert!((obs.theta(10) - 0.2).abs() < 1e-12);
         let replay = obs.replay();
         assert_eq!(replay.range_queries, 2);
+        assert!((replay.theta(10) - 0.2).abs() < 1e-12);
         assert_eq!(replay.seeds, 1);
     }
 

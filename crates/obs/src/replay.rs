@@ -1,18 +1,20 @@
 //! Replay: fold a recorded event stream back into the run's cost counters.
 //!
-//! The invariant this module exists to check: a trace is *complete* iff
-//! replaying it reproduces the `DbsvecStats` the run itself accumulated,
-//! field for field. [`ReplayCounts`] mirrors that struct's counter layout
-//! exactly; `tests/` and the CLI's `--profile` path both diff the two.
+//! [`ReplayCounts::record`] is the one place an [`Event`] becomes counts.
+//! The fit and the serving engine fold every event they emit through it,
+//! and build `DbsvecStats` and `EngineStats` from that fold; the
+//! `MetricsObserver` fills its counters from the same fold. A trace is
+//! therefore *complete* iff replaying it reproduces the run's stats, field
+//! for field — `tests/` and the CLI's `--profile` path both check this.
 
 use crate::event::Event;
 use crate::json::{self, Json};
 
 /// Cost counters reconstructed from an event stream.
 ///
-/// Field-for-field mirror of `dbsvec_core::stats::DbsvecStats` (this crate
-/// cannot depend on core — core depends on *it* — so the mirror is kept in
-/// sync by the cross-check tests in the workspace root).
+/// Every counter the workspace reports is a view of this fold:
+/// `dbsvec_core::stats::DbsvecStats` holds its fit fields, and the serving
+/// engine's `EngineStats` its serving fields.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ReplayCounts {
     /// Sub-clusters seeded (count of [`Event::Seed`]).
@@ -186,22 +188,24 @@ impl ReplayCounts {
     }
 
     /// Builds counters from JSONL trace text (as written by
-    /// [`crate::JsonlSink`]). Every line must be valid JSON; `kind:"event"`
-    /// lines must decode to a known event. Span lines are skipped.
+    /// [`crate::JsonlSink`]). Every line must be valid JSON with a `kind`
+    /// of `enter`, `exit` or `event`; `kind:"event"` lines must decode to a
+    /// known event. Span lines are skipped.
     pub fn from_jsonl(text: &str) -> Result<Self, String> {
         let mut counts = Self::default();
         for (lineno, line) in text.lines().enumerate() {
             if line.trim().is_empty() {
                 continue;
             }
-            let value = json::parse(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
-            let kind = value
-                .get("kind")
-                .ok_or_else(|| format!("line {}: missing \"kind\"", lineno + 1))?;
-            if kind == &Json::Str("event".to_string()) {
-                let event =
-                    event_from_json(&value).map_err(|e| format!("line {}: {e}", lineno + 1))?;
-                counts.record(&event);
+            let at = |e: String| format!("line {}: {e}", lineno + 1);
+            let value = json::parse(line).map_err(at)?;
+            match value.get("kind") {
+                Some(Json::Str(k)) if k == "event" => {
+                    counts.record(&event_from_json(&value).map_err(at)?)
+                }
+                Some(Json::Str(k)) if k == "enter" || k == "exit" => {}
+                Some(other) => return Err(at(format!("unknown kind {other}"))),
+                None => return Err(at("missing \"kind\"".to_string())),
             }
         }
         Ok(counts)
@@ -217,145 +221,12 @@ impl ReplayCounts {
     }
 }
 
-fn field_u64(value: &Json, key: &str) -> Result<u64, String> {
-    match value.get(key) {
-        Some(Json::UInt(u)) => Ok(*u),
-        Some(Json::Int(i)) if *i >= 0 => Ok(*i as u64),
-        Some(other) => Err(format!("field {key:?} is not an unsigned integer: {other}")),
-        None => Err(format!("missing field {key:?}")),
-    }
-}
-
-fn field_usize(value: &Json, key: &str) -> Result<usize, String> {
-    Ok(field_u64(value, key)? as usize)
-}
-
-fn field_u32(value: &Json, key: &str) -> Result<u32, String> {
-    u32::try_from(field_u64(value, key)?).map_err(|e| format!("field {key:?}: {e}"))
-}
-
-fn field_bool(value: &Json, key: &str) -> Result<bool, String> {
-    match value.get(key) {
-        Some(Json::Bool(b)) => Ok(*b),
-        _ => Err(format!("missing bool field {key:?}")),
-    }
-}
-
-fn field_str(value: &Json, key: &str) -> Result<String, String> {
-    match value.get(key) {
-        Some(Json::Str(s)) => Ok(s.clone()),
-        _ => Err(format!("missing string field {key:?}")),
-    }
-}
-
 /// Decodes one `kind:"event"` trace object back into an [`Event`]
 /// (inverse of [`crate::jsonl::event_to_json`]).
 pub fn event_from_json(value: &Json) -> Result<Event, String> {
-    let name = match value.get("event") {
-        Some(Json::Str(s)) => s.as_str(),
-        _ => return Err("missing \"event\" name".to_string()),
-    };
-    match name {
-        "seed" => Ok(Event::Seed {
-            point: field_u32(value, "point")?,
-            neighborhood_len: field_usize(value, "neighborhood_len")?,
-        }),
-        "range_query" => Ok(Event::RangeQuery {
-            probe: field_u32(value, "probe")?,
-            result_len: field_usize(value, "result_len")?,
-        }),
-        "smo_solve" => Ok(Event::SmoSolve {
-            target_size: field_usize(value, "target_size")?,
-            iterations: field_usize(value, "iterations")?,
-            cache_hits: field_u64(value, "cache_hits")?,
-            cache_misses: field_u64(value, "cache_misses")?,
-            warm_started: field_bool(value, "warm_started")?,
-            converged: field_bool(value, "converged")?,
-            initial_kkt_violation_e6: field_u64(value, "initial_kkt_violation_e6")?,
-        }),
-        "expansion_round" => Ok(Event::ExpansionRound {
-            cluster: field_u32(value, "cluster")?,
-            round: field_usize(value, "round")?,
-            target_size: field_usize(value, "target_size")?,
-            n_sv: field_usize(value, "n_sv")?,
-            n_core_sv: field_usize(value, "n_core_sv")?,
-            smo_iters: field_usize(value, "smo_iters")?,
-        }),
-        "merge" => Ok(Event::Merge {
-            existing: field_u32(value, "existing")?,
-            expanding: field_u32(value, "expanding")?,
-        }),
-        "noise_verdict" => Ok(Event::NoiseVerdict {
-            point: field_u32(value, "point")?,
-            confirmed: field_bool(value, "confirmed")?,
-        }),
-        "sample" => Ok(Event::Sample {
-            candidates: field_usize(value, "candidates")?,
-            total: field_usize(value, "total")?,
-            rate_e6: field_u64(value, "rate_e6")?,
-        }),
-        "attach" => Ok(Event::Attach {
-            point: field_u32(value, "point")?,
-            attached: field_bool(value, "attached")?,
-        }),
-        "assign" => Ok(Event::Assign {
-            hit: field_bool(value, "hit")?,
-        }),
-        "ingest" => Ok(Event::Ingest {
-            core: field_bool(value, "core")?,
-            duplicate: field_bool(value, "duplicate")?,
-        }),
-        "promote" => Ok(Event::Promote {
-            cluster: field_u32(value, "cluster")?,
-        }),
-        "remove" => Ok(Event::Remove {
-            core: field_bool(value, "core")?,
-            found: field_bool(value, "found")?,
-        }),
-        "demote" => Ok(Event::Demote {
-            cluster: field_u32(value, "cluster")?,
-        }),
-        "split" => Ok(Event::Split {
-            pieces: field_u32(value, "pieces")?,
-        }),
-        "snapshot_write" => Ok(Event::SnapshotWrite {
-            bytes: field_u64(value, "bytes")?,
-        }),
-        "snapshot_load" => Ok(Event::SnapshotLoad {
-            bytes: field_u64(value, "bytes")?,
-        }),
-        "quality_window" => Ok(Event::QualityWindow {
-            window: field_u64(value, "window")?,
-            samples: field_u64(value, "samples")?,
-            drift_score_e6: field_u64(value, "drift_score_e6")?,
-            hist_distance_e6: field_u64(value, "hist_distance_e6")?,
-            occupancy_shift_e6: field_u64(value, "occupancy_shift_e6")?,
-            noise_delta_e6: field_u64(value, "noise_delta_e6")?,
-            baseline: field_bool(value, "baseline")?,
-        }),
-        "drift_alert" => Ok(Event::DriftAlert {
-            window: field_u64(value, "window")?,
-            drift_score_e6: field_u64(value, "drift_score_e6")?,
-            threshold_e6: field_u64(value, "threshold_e6")?,
-        }),
-        "http_request" => Ok(Event::HttpRequest {
-            endpoint: field_str(value, "endpoint")?,
-            status: u16::try_from(field_u64(value, "status")?)
-                .map_err(|e| format!("field \"status\": {e}"))?,
-            points: field_u64(value, "points")?,
-            request_id: field_u64(value, "request_id")?,
-            duration_us: field_u64(value, "duration_us")?,
-            stages: crate::event::HttpStages {
-                queue_us: field_u64(value, "queue_us")?,
-                parse_us: field_u64(value, "parse_us")?,
-                route_us: field_u64(value, "route_us")?,
-                lock_us: field_u64(value, "lock_us")?,
-                engine_us: field_u64(value, "engine_us")?,
-                serialize_us: field_u64(value, "serialize_us")?,
-                write_us: field_u64(value, "write_us")?,
-            },
-        }),
-        other => Err(format!("unknown event {other:?}")),
+    match value.get("event") {
+        Some(Json::Str(name)) => Event::decode_fields(name, value),
+        _ => Err("missing \"event\" name".to_string()),
     }
 }
 
@@ -653,6 +524,11 @@ mod tests {
         assert!(ReplayCounts::from_jsonl("not json\n").is_err());
         assert!(ReplayCounts::from_jsonl("{\"no_kind\":1}\n").is_err());
         assert!(ReplayCounts::from_jsonl("{\"kind\":\"event\",\"event\":\"mystery\"}\n").is_err());
+        // A corrupted kind must not be skipped like a span line.
+        let typo = "{\"kind\":\"enter\",\"phase\":\"init\"}\n\
+                    {\"kind\":\"evnt\",\"event\":\"range_query\",\"probe\":1,\"result_len\":2}\n";
+        let err = ReplayCounts::from_jsonl(typo).unwrap_err();
+        assert!(err.starts_with("line 2:"), "{err}");
         assert!(ReplayCounts::from_jsonl(
             "{\"kind\":\"event\",\"event\":\"range_query\",\"probe\":1}\n"
         )

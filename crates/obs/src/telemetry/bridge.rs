@@ -2,63 +2,180 @@
 //!
 //! [`MetricsObserver`] implements [`Observer`], so any instrumentation
 //! site that can stream a trace can feed steady-state metrics through the
-//! *same* callbacks — one seam, two consumers. Events map to counters
-//! mirroring [`ReplayCounts`](crate::ReplayCounts) field for field (the
-//! round-trip test in `tests/telemetry.rs` pins that equivalence), and
-//! phase spans map to per-phase duration histograms, timed against the
-//! observer's own clock like every other sink.
+//! *same* callbacks — one seam, two consumers. Events are folded into a
+//! [`ReplayCounts`], and every counter is a view of one of its fields
+//! through the `COUNTERS` table, so the registry cannot disagree with a
+//! replay of the same stream. Phase spans map to per-phase duration
+//! histograms, timed against the observer's own clock like every other
+//! sink.
 
 use std::time::Instant;
 
 use crate::event::{Event, Phase};
 use crate::observer::Observer;
+use crate::replay::ReplayCounts;
 use crate::telemetry::registry::{CounterId, GaugeId, HistogramId, Registry};
 
-/// Counter ids in [`ReplayCounts`](crate::ReplayCounts) field order.
-#[derive(Clone, Copy, Debug)]
-struct EventCounters {
-    seeds: CounterId,
-    svdd_trainings: CounterId,
-    support_vectors: CounterId,
-    core_support_vectors: CounterId,
-    merges: CounterId,
-    noise_candidates: CounterId,
-    noise_confirmed: CounterId,
-    range_queries: CounterId,
-    expansion_rounds: CounterId,
-    smo_iterations: CounterId,
-    warm_started_trainings: CounterId,
-    iterations_exhausted: CounterId,
-    initial_kkt_violation_e6: CounterId,
-    sampled_candidates: CounterId,
-    attachment_candidates: CounterId,
-    attached_points: CounterId,
-    assigns: CounterId,
-    assign_hits: CounterId,
-    ingests: CounterId,
-    ingest_duplicates: CounterId,
-    promotions: CounterId,
-    removals: CounterId,
-    remove_misses: CounterId,
-    demotions: CounterId,
-    splits: CounterId,
-    snapshot_writes: CounterId,
-    snapshot_loads: CounterId,
-    quality_windows: CounterId,
-    drift_alerts: CounterId,
-    http_requests: CounterId,
-    http_errors: CounterId,
-}
+/// One counter: metric name, help text, and the [`ReplayCounts`] field it
+/// exposes.
+type CounterRow = (&'static str, &'static str, fn(&ReplayCounts) -> u64);
+
+/// Every counter, in registration (and so exposition) order.
+const COUNTERS: [CounterRow; 31] = [
+    ("dbsvec_seeds_total", "Sub-clusters seeded.", |c| c.seeds),
+    ("dbsvec_svdd_trainings_total", "SVDD SMO solves.", |c| {
+        c.svdd_trainings
+    }),
+    (
+        "dbsvec_support_vectors_total",
+        "Support vectors produced, summed over expansion rounds.",
+        |c| c.support_vectors,
+    ),
+    (
+        "dbsvec_core_support_vectors_total",
+        "Support vectors that passed the core test.",
+        |c| c.core_support_vectors,
+    ),
+    ("dbsvec_merges_total", "Cluster unions.", |c| c.merges),
+    (
+        "dbsvec_noise_candidates_total",
+        "Potential-noise points examined.",
+        |c| c.noise_candidates,
+    ),
+    (
+        "dbsvec_noise_confirmed_total",
+        "Potential-noise points confirmed as noise.",
+        |c| c.noise_confirmed,
+    ),
+    (
+        "dbsvec_range_queries_total",
+        "Epsilon-range queries issued.",
+        |c| c.range_queries,
+    ),
+    (
+        "dbsvec_expansion_rounds_total",
+        "Support-vector expansion rounds completed.",
+        |c| c.expansion_rounds,
+    ),
+    (
+        "dbsvec_smo_iterations_total",
+        "SMO iterations, summed over trainings.",
+        |c| c.smo_iterations,
+    ),
+    (
+        "dbsvec_warm_started_trainings_total",
+        "SVDD trainings seeded from the previous round's multipliers.",
+        |c| c.warm_started_trainings,
+    ),
+    (
+        "dbsvec_iterations_exhausted_total",
+        "SVDD trainings that hit the SMO iteration cap.",
+        |c| c.iterations_exhausted,
+    ),
+    (
+        "dbsvec_initial_kkt_violation_e6_total",
+        "Initial KKT violations in microunits, summed over trainings.",
+        |c| c.initial_kkt_violation_e6,
+    ),
+    (
+        "dbsvec_sampled_candidates_total",
+        "Core candidates drawn by sampled fits.",
+        |c| c.sampled_candidates,
+    ),
+    (
+        "dbsvec_attachment_candidates_total",
+        "Unsampled points examined by the attachment pass.",
+        |c| c.attachment_candidates,
+    ),
+    (
+        "dbsvec_attached_points_total",
+        "Attachment candidates that joined a cluster.",
+        |c| c.attached_points,
+    ),
+    ("dbsvec_assigns_total", "Assignments answered.", |c| {
+        c.assigns
+    }),
+    (
+        "dbsvec_assign_hits_total",
+        "Assignments that landed in a cluster.",
+        |c| c.assign_hits,
+    ),
+    ("dbsvec_ingests_total", "Observations ingested.", |c| {
+        c.ingests
+    }),
+    (
+        "dbsvec_ingest_duplicates_total",
+        "Ingests dropped as exact duplicates.",
+        |c| c.ingest_duplicates,
+    ),
+    (
+        "dbsvec_promotions_total",
+        "Points promoted to core online.",
+        |c| c.promotions,
+    ),
+    (
+        "dbsvec_removals_total",
+        "Tracked points removed online.",
+        |c| c.removals,
+    ),
+    (
+        "dbsvec_remove_misses_total",
+        "Removal requests for untracked points.",
+        |c| c.remove_misses,
+    ),
+    (
+        "dbsvec_demotions_total",
+        "Cores demoted below MinPts by removals.",
+        |c| c.demotions,
+    ),
+    (
+        "dbsvec_splits_total",
+        "Cluster splits repaired after removals.",
+        |c| c.splits,
+    ),
+    (
+        "dbsvec_snapshot_writes_total",
+        "Model snapshots serialized.",
+        |c| c.snapshot_writes,
+    ),
+    (
+        "dbsvec_snapshot_loads_total",
+        "Model snapshots deserialized.",
+        |c| c.snapshot_loads,
+    ),
+    (
+        "dbsvec_quality_windows_total",
+        "Quality-monitor tumbling windows completed.",
+        |c| c.quality_windows,
+    ),
+    (
+        "dbsvec_drift_alerts_total",
+        "Windows whose smoothed drift score crossed the threshold.",
+        |c| c.drift_alerts,
+    ),
+    (
+        "dbsvec_http_requests_total",
+        "HTTP requests handled by the serving tier.",
+        |c| c.http_requests,
+    ),
+    (
+        "dbsvec_http_errors_total",
+        "HTTP requests answered with a 4xx/5xx status.",
+        |c| c.http_errors,
+    ),
+];
 
 /// An [`Observer`] that folds events into registry counters and phase
 /// spans into per-phase latency histograms.
 #[derive(Debug)]
 pub struct MetricsObserver {
     registry: Registry,
-    counters: EventCounters,
+    /// The fold every counter (and the max-target gauge) reads.
+    counts: ReplayCounts,
+    /// Registry ids of [`COUNTERS`], same order.
+    counters: [CounterId; COUNTERS.len()],
     /// Largest SVDD target set seen (a high-water mark, so a gauge).
     max_target_size: GaugeId,
-    max_target_seen: usize,
     /// End-to-end HTTP request durations (all endpoints), seconds.
     http_duration: HistogramId,
     /// One duration histogram per [`Phase::ALL`] entry, same order.
@@ -78,144 +195,7 @@ impl MetricsObserver {
     /// `dbsvec_*` names.
     pub fn new() -> Self {
         let mut reg = Registry::new();
-        let c = |reg: &mut Registry, name: &str, help: &str| reg.counter(name, help);
-        let counters = EventCounters {
-            seeds: c(&mut reg, "dbsvec_seeds_total", "Sub-clusters seeded."),
-            svdd_trainings: c(&mut reg, "dbsvec_svdd_trainings_total", "SVDD SMO solves."),
-            support_vectors: c(
-                &mut reg,
-                "dbsvec_support_vectors_total",
-                "Support vectors produced, summed over expansion rounds.",
-            ),
-            core_support_vectors: c(
-                &mut reg,
-                "dbsvec_core_support_vectors_total",
-                "Support vectors that passed the core test.",
-            ),
-            merges: c(&mut reg, "dbsvec_merges_total", "Cluster unions."),
-            noise_candidates: c(
-                &mut reg,
-                "dbsvec_noise_candidates_total",
-                "Potential-noise points examined.",
-            ),
-            noise_confirmed: c(
-                &mut reg,
-                "dbsvec_noise_confirmed_total",
-                "Potential-noise points confirmed as noise.",
-            ),
-            range_queries: c(
-                &mut reg,
-                "dbsvec_range_queries_total",
-                "Epsilon-range queries issued.",
-            ),
-            expansion_rounds: c(
-                &mut reg,
-                "dbsvec_expansion_rounds_total",
-                "Support-vector expansion rounds completed.",
-            ),
-            smo_iterations: c(
-                &mut reg,
-                "dbsvec_smo_iterations_total",
-                "SMO iterations, summed over trainings.",
-            ),
-            warm_started_trainings: c(
-                &mut reg,
-                "dbsvec_warm_started_trainings_total",
-                "SVDD trainings seeded from the previous round's multipliers.",
-            ),
-            iterations_exhausted: c(
-                &mut reg,
-                "dbsvec_iterations_exhausted_total",
-                "SVDD trainings that hit the SMO iteration cap.",
-            ),
-            initial_kkt_violation_e6: c(
-                &mut reg,
-                "dbsvec_initial_kkt_violation_e6_total",
-                "Initial KKT violations in microunits, summed over trainings.",
-            ),
-            sampled_candidates: c(
-                &mut reg,
-                "dbsvec_sampled_candidates_total",
-                "Core candidates drawn by sampled fits.",
-            ),
-            attachment_candidates: c(
-                &mut reg,
-                "dbsvec_attachment_candidates_total",
-                "Unsampled points examined by the attachment pass.",
-            ),
-            attached_points: c(
-                &mut reg,
-                "dbsvec_attached_points_total",
-                "Attachment candidates that joined a cluster.",
-            ),
-            assigns: c(&mut reg, "dbsvec_assigns_total", "Assignments answered."),
-            assign_hits: c(
-                &mut reg,
-                "dbsvec_assign_hits_total",
-                "Assignments that landed in a cluster.",
-            ),
-            ingests: c(&mut reg, "dbsvec_ingests_total", "Observations ingested."),
-            ingest_duplicates: c(
-                &mut reg,
-                "dbsvec_ingest_duplicates_total",
-                "Ingests dropped as exact duplicates.",
-            ),
-            promotions: c(
-                &mut reg,
-                "dbsvec_promotions_total",
-                "Points promoted to core online.",
-            ),
-            removals: c(
-                &mut reg,
-                "dbsvec_removals_total",
-                "Tracked points removed online.",
-            ),
-            remove_misses: c(
-                &mut reg,
-                "dbsvec_remove_misses_total",
-                "Removal requests for untracked points.",
-            ),
-            demotions: c(
-                &mut reg,
-                "dbsvec_demotions_total",
-                "Cores demoted below MinPts by removals.",
-            ),
-            splits: c(
-                &mut reg,
-                "dbsvec_splits_total",
-                "Cluster splits repaired after removals.",
-            ),
-            snapshot_writes: c(
-                &mut reg,
-                "dbsvec_snapshot_writes_total",
-                "Model snapshots serialized.",
-            ),
-            snapshot_loads: c(
-                &mut reg,
-                "dbsvec_snapshot_loads_total",
-                "Model snapshots deserialized.",
-            ),
-            quality_windows: c(
-                &mut reg,
-                "dbsvec_quality_windows_total",
-                "Quality-monitor tumbling windows completed.",
-            ),
-            drift_alerts: c(
-                &mut reg,
-                "dbsvec_drift_alerts_total",
-                "Windows whose smoothed drift score crossed the threshold.",
-            ),
-            http_requests: c(
-                &mut reg,
-                "dbsvec_http_requests_total",
-                "HTTP requests handled by the serving tier.",
-            ),
-            http_errors: c(
-                &mut reg,
-                "dbsvec_http_errors_total",
-                "HTTP requests answered with a 4xx/5xx status.",
-            ),
-        };
+        let counters = COUNTERS.map(|(name, help, _)| reg.counter(name, help));
         let max_target_size = reg.gauge(
             "dbsvec_max_target_size",
             "Largest target set any SVDD was trained on.",
@@ -234,9 +214,9 @@ impl MetricsObserver {
         });
         Self {
             registry: reg,
+            counts: ReplayCounts::default(),
             counters,
             max_target_size,
-            max_target_seen: 0,
             http_duration,
             phase_hists,
             stack: Vec::new(),
@@ -257,13 +237,6 @@ impl MetricsObserver {
     pub fn into_registry(self) -> Registry {
         self.registry
     }
-
-    fn observe_max_target(&mut self, target_size: usize) {
-        if target_size > self.max_target_seen {
-            self.max_target_seen = target_size;
-            self.registry.set(self.max_target_size, target_size as f64);
-        }
-    }
 }
 
 impl Observer for MetricsObserver {
@@ -283,95 +256,14 @@ impl Observer for MetricsObserver {
     }
 
     fn event(&mut self, event: &Event) {
-        let c = self.counters;
-        match event {
-            Event::Seed { .. } => self.registry.inc(c.seeds),
-            Event::RangeQuery { .. } => self.registry.inc(c.range_queries),
-            Event::SmoSolve {
-                target_size,
-                iterations,
-                warm_started,
-                converged,
-                initial_kkt_violation_e6,
-                ..
-            } => {
-                self.registry.inc(c.svdd_trainings);
-                self.registry.add(c.smo_iterations, *iterations as u64);
-                self.registry
-                    .add(c.warm_started_trainings, *warm_started as u64);
-                self.registry
-                    .add(c.iterations_exhausted, !*converged as u64);
-                self.registry
-                    .add(c.initial_kkt_violation_e6, *initial_kkt_violation_e6);
-                self.observe_max_target(*target_size);
-            }
-            Event::ExpansionRound {
-                target_size,
-                n_sv,
-                n_core_sv,
-                ..
-            } => {
-                self.registry.inc(c.expansion_rounds);
-                self.registry.add(c.support_vectors, *n_sv as u64);
-                self.registry.add(c.core_support_vectors, *n_core_sv as u64);
-                self.observe_max_target(*target_size);
-            }
-            Event::Merge { .. } => self.registry.inc(c.merges),
-            Event::NoiseVerdict { confirmed, .. } => {
-                self.registry.inc(c.noise_candidates);
-                if *confirmed {
-                    self.registry.inc(c.noise_confirmed);
-                }
-            }
-            Event::Sample { candidates, .. } => {
-                self.registry.add(c.sampled_candidates, *candidates as u64)
-            }
-            Event::Attach { attached, .. } => {
-                self.registry.inc(c.attachment_candidates);
-                if *attached {
-                    self.registry.inc(c.attached_points);
-                }
-            }
-            Event::Assign { hit } => {
-                self.registry.inc(c.assigns);
-                if *hit {
-                    self.registry.inc(c.assign_hits);
-                }
-            }
-            Event::Ingest { duplicate, .. } => {
-                self.registry.inc(c.ingests);
-                if *duplicate {
-                    self.registry.inc(c.ingest_duplicates);
-                }
-            }
-            Event::Promote { .. } => self.registry.inc(c.promotions),
-            Event::Remove { found, .. } => {
-                if *found {
-                    self.registry.inc(c.removals);
-                } else {
-                    self.registry.inc(c.remove_misses);
-                }
-            }
-            Event::Demote { .. } => self.registry.inc(c.demotions),
-            Event::Split { pieces } => self
-                .registry
-                .add(c.splits, (*pieces as u64).saturating_sub(1)),
-            Event::SnapshotWrite { .. } => self.registry.inc(c.snapshot_writes),
-            Event::SnapshotLoad { .. } => self.registry.inc(c.snapshot_loads),
-            Event::QualityWindow { .. } => self.registry.inc(c.quality_windows),
-            Event::DriftAlert { .. } => self.registry.inc(c.drift_alerts),
-            Event::HttpRequest {
-                status,
-                duration_us,
-                ..
-            } => {
-                self.registry.inc(c.http_requests);
-                if *status >= 400 {
-                    self.registry.inc(c.http_errors);
-                }
-                let hist = self.http_duration;
-                self.registry.observe(hist, *duration_us);
-            }
+        self.counts.record(event);
+        for (&id, (_, _, field)) in self.counters.iter().zip(&COUNTERS) {
+            self.registry.set_counter(id, field(&self.counts));
+        }
+        self.registry
+            .set(self.max_target_size, self.counts.max_target_size as f64);
+        if let Event::HttpRequest { duration_us, .. } = event {
+            self.registry.observe(self.http_duration, *duration_us);
         }
     }
 }

@@ -184,7 +184,7 @@ fn insert_delete_interleavings_are_bit_identical_across_threads_and_restarts() {
                 }
             }
         }
-        let stats = *engine.stats();
+        let stats = engine.stats();
         (
             steps(&recorder),
             recorder.replay(),
