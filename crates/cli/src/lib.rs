@@ -100,9 +100,10 @@ DATASETS (for --dataset):
 Omitting --eps derives it from the k-distance knee (Schubert et al. 2017);
 omitting --min-pts uses a cardinality-based default.
 
-fit --threads N fans the R*-tree bulk load and the per-round support-vector
-range queries across N worker threads (0 = all cores, the default; 1 = the
-sequential code path). Labels, stats, and traces are identical at every N.
+fit --threads N runs the R*-tree bulk load (from 65,536 points) and the
+sampled attachment pass on N worker threads (0 = all cores, the default;
+1 = no worker threads); support vector expansion always runs on one thread.
+Labels, stats, and traces are identical at every N.
 fit --cold-start turns off the SMO solver's warm start (reusing the previous
 round's alphas); labels are identical either way.
 

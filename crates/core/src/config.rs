@@ -16,17 +16,17 @@ pub enum NuStrategy {
     Fixed(f64),
 }
 
-/// Thread budget for the parallel fit path.
+/// Thread budget for the fit.
 ///
-/// Three fit stages fan out across scoped threads: the R\*-tree bulk load
-/// behind [`crate::Dbsvec::fit`] (via `RStarTree::build_threaded`), and,
-/// against shared immutable state, the per-round batch of range queries on
-/// core support vectors and (via
-/// `dbsvec_index::k_distance_profile_threaded`) the k-dist parameter scan.
-/// Results are **bit identical at every thread count** — workers only
-/// evaluate pure functions, and all state mutation replays on the driving
-/// thread in deterministic order. `threads == 1` is the escape hatch that
-/// takes the exact sequential code path.
+/// Two coarse fit stages fan out across scoped threads: the R\*-tree bulk
+/// load behind [`crate::Dbsvec::fit`] (via `RStarTree::build_threaded`,
+/// which stays on the calling thread below 2¹⁶ points) and the sampled
+/// fit's attachment pass. Seeding, support vector expansion with its range
+/// queries, and every SMO solve run on the calling thread: an expansion
+/// round queries only its few core support vectors, too few to pay for
+/// spawning workers. Results are **bit identical at every thread count** —
+/// workers only evaluate pure functions, and all state mutation happens on
+/// the calling thread in a fixed order. `threads == 1` spawns no thread.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ParallelConfig {
     /// Worker threads; `0` (the default) means all available cores.
@@ -135,9 +135,9 @@ pub struct DbsvecConfig {
     pub kernel_width: KernelWidthStrategy,
     /// SMO solver options.
     pub smo: SmoOptions,
-    /// Thread budget for the parallel fit path (batched SV range queries).
-    /// Defaults to all available cores; results are identical at every
-    /// setting.
+    /// Thread budget for the R\*-tree bulk load and the sampled attachment
+    /// pass (see [`ParallelConfig`]). Defaults to all available cores;
+    /// results are identical at every setting.
     pub parallel: ParallelConfig,
     /// Core-candidate subsampling (default: `Exact`, the full fit).
     /// Seeding and support-vector expansion restrict themselves to the

@@ -102,11 +102,7 @@ impl Dbsvec {
     /// # Panics
     ///
     /// Panics if the index size disagrees with the point set.
-    pub fn fit_with_index<I: RangeIndex + Sync>(
-        &self,
-        points: &PointSet,
-        index: &I,
-    ) -> DbsvecResult {
+    pub fn fit_with_index<I: RangeIndex>(&self, points: &PointSet, index: &I) -> DbsvecResult {
         self.fit_with_index_observed(points, index, &mut NoopObserver)
     }
 
@@ -116,7 +112,7 @@ impl Dbsvec {
     /// The returned [`DbsvecStats`] are built from the same events (folded
     /// by `dbsvec-obs`'s `ReplayCounts`), so a recorded stream replays to
     /// exactly them.
-    pub fn fit_with_index_observed<I: RangeIndex + Sync>(
+    pub fn fit_with_index_observed<I: RangeIndex>(
         &self,
         points: &PointSet,
         index: &I,
@@ -531,9 +527,9 @@ mod tests {
         // cluster that absorbs the boundary point, and when expansion later
         // probes that boundary point — exactly ε from the pile, excluded by
         // the open ball along with its own degenerate self-distance — the
-        // round's batch holds a genuinely EMPTY neighborhood. Both the
-        // sequential and the batched path must treat it as "non-core, moves
-        // on" rather than indexing into it.
+        // query returns a genuinely EMPTY neighborhood. Expansion must treat
+        // it as "non-core, moves on" rather than indexing into it, at every
+        // thread count.
         let mut ps = PointSet::new(2);
         for _ in 0..3 {
             ps.push(&[0.0, 0.0]);

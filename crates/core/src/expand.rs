@@ -21,11 +21,10 @@ use dbsvec_svdd::{
     params::nu_to_c, penalty_weights, GaussianKernel, IncrementalTarget, SolverSession, SvddProblem,
 };
 
-use crate::parallel::batch_range_queries;
 use crate::runner::RunState;
 
 /// Expands the sub-cluster `raw_cid`, seeded with `initial_members`.
-pub(crate) fn sv_expand_cluster<I: RangeIndex + Sync>(
+pub(crate) fn sv_expand_cluster<I: RangeIndex>(
     state: &mut RunState<'_, I>,
     raw_cid: u32,
     initial_members: Vec<PointId>,
@@ -70,68 +69,34 @@ pub(crate) fn sv_expand_cluster<I: RangeIndex + Sync>(
         let n_sv = support_vectors.len();
         let mut n_core_sv = 0usize;
         let mut newly_added: Vec<PointId> = Vec::new();
-        if state.threads <= 1 {
-            // Sequential escape hatch: the exact original query-then-absorb
-            // loop, one support vector at a time.
-            for sv in support_vectors {
-                if !state.is_candidate(sv) {
-                    // Sampled mode: a support vector outside the drawn
-                    // subsample can never be core, so querying it cannot
-                    // expand the cluster (Def. 6) — skip without a query.
-                    continue;
-                }
-                if state.queried[sv as usize] {
-                    // Already materialized and absorbed in an earlier round
-                    // (or as a seed): a repeat query cannot discover anything
-                    // new.
-                    continue;
-                }
-                state.range_query(sv, &mut neighborhood);
-                if neighborhood.len() < state.config.min_pts {
-                    continue; // non-core support vector: cannot expand (Def. 6)
-                }
-                n_core_sv += 1;
-                // The borrow checker cannot see that `absorb_or_merge` leaves
-                // `neighborhood` alone, so iterate by index over a swap.
-                let neigh = std::mem::take(&mut neighborhood);
-                for &j in &neigh {
-                    state.absorb_or_merge(j, raw_cid, &mut newly_added);
-                }
-                neighborhood = neigh;
+        for sv in support_vectors {
+            if !state.is_candidate(sv) {
+                // Sampled mode: a support vector outside the drawn
+                // subsample can never be core, so querying it cannot
+                // expand the cluster (Def. 6) — skip without a query.
+                continue;
             }
-        } else {
-            // Batched path: fan the round's range queries out across worker
-            // threads, then replay accounting and absorption on this thread
-            // in support-vector order. Equivalent to the sequential loop
-            // because a round's support vectors are distinct and a query
-            // only marks its own probe `queried` — no query in the batch can
-            // flip another's skip decision — so filtering up front sees the
-            // same pending set the one-at-a-time check would.
-            let pending: Vec<PointId> = support_vectors
-                .iter()
-                .copied()
-                .filter(|&sv| state.is_candidate(sv) && !state.queried[sv as usize])
-                .collect();
-            let batches = batch_range_queries(
-                state.points,
-                state.index,
-                state.config.eps,
-                &pending,
-                state.threads,
-            );
-            for (sv, neigh) in pending.into_iter().zip(batches) {
-                // `neigh` may legitimately be empty (an index is free to
-                // report nothing inside ε, even the probe itself); the
-                // min_pts gate below handles that without indexing into it.
-                state.record_range_query(sv, neigh.len());
-                if neigh.len() < state.config.min_pts {
-                    continue; // non-core support vector: cannot expand (Def. 6)
-                }
-                n_core_sv += 1;
-                for &j in &neigh {
-                    state.absorb_or_merge(j, raw_cid, &mut newly_added);
-                }
+            if state.queried[sv as usize] {
+                // Already materialized and absorbed in an earlier round
+                // (or as a seed): a repeat query cannot discover anything
+                // new.
+                continue;
             }
+            state.range_query(sv, &mut neighborhood);
+            // The neighborhood may legitimately be empty (an index is free
+            // to report nothing inside ε, even the probe itself); the
+            // min_pts gate handles that without indexing into it.
+            if neighborhood.len() < state.config.min_pts {
+                continue; // non-core support vector: cannot expand (Def. 6)
+            }
+            n_core_sv += 1;
+            // The borrow checker cannot see that `absorb_or_merge` leaves
+            // `neighborhood` alone, so iterate over a swap.
+            let neigh = std::mem::take(&mut neighborhood);
+            for &j in &neigh {
+                state.absorb_or_merge(j, raw_cid, &mut newly_added);
+            }
+            neighborhood = neigh;
         }
 
         state.emit(Event::ExpansionRound {

@@ -1,70 +1,16 @@
-//! Scoped-thread fan-out for the batched range queries of the parallel
-//! fit path.
+//! Scoped-thread fan-out for the sampled fit's attachment pass.
 //!
-//! An ε-range query is a pure function of `(probe point, eps, index)` and
-//! the index is immutable during expansion, so a batch of queries can run
-//! on any number of worker threads and still produce exactly the results
-//! the sequential loop would have seen. Determinism comes from *where the
-//! results go*, not where they are computed: probes are chunked in order,
-//! chunks are joined in spawn order, and the caller consumes the merged
-//! results in the original probe order.
+//! Each lookup is a pure function of `(probe point, eps, core tree)` and
+//! the tree is immutable once built, so a batch of lookups can run on any
+//! number of worker threads and still produce exactly the results a
+//! sequential loop would. Determinism comes from *where the results go*,
+//! not where they are computed: probes are chunked in order, chunks are
+//! joined in spawn order, and the caller consumes the merged results in
+//! the original probe order. Expansion's range queries do not come here:
+//! a round holds a handful of probes, too few to pay for a spawn.
 
 use dbsvec_geometry::{PointId, PointSet};
 use dbsvec_index::{KdTree, RangeIndex};
-
-/// Runs one ε-range query per probe against the shared immutable `index`,
-/// fanning the batch out across at most `threads` scoped worker threads.
-///
-/// The returned vector is aligned with `probes`: `result[i]` is the
-/// neighborhood of `probes[i]`, in whatever order the index reports it —
-/// the same order the sequential `RangeIndex::range` call produces, since
-/// each worker issues the identical call. Empty neighborhoods are
-/// perfectly legal results (an adversarial index may exclude even the
-/// probe itself) and come back as empty vectors.
-///
-/// `threads <= 1` or a batch of fewer than two probes stays on the calling
-/// thread.
-pub(crate) fn batch_range_queries<I: RangeIndex + Sync>(
-    points: &PointSet,
-    index: &I,
-    eps: f64,
-    probes: &[PointId],
-    threads: usize,
-) -> Vec<Vec<PointId>> {
-    if threads <= 1 || probes.len() < 2 {
-        return probes
-            .iter()
-            .map(|&id| {
-                let mut out = Vec::new();
-                index.range(points.point(id), eps, &mut out);
-                out
-            })
-            .collect();
-    }
-    let workers = threads.min(probes.len());
-    let chunk = probes.len().div_ceil(workers);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = probes
-            .chunks(chunk)
-            .map(|part| {
-                scope.spawn(move || {
-                    part.iter()
-                        .map(|&id| {
-                            let mut out = Vec::new();
-                            index.range(points.point(id), eps, &mut out);
-                            out
-                        })
-                        .collect::<Vec<Vec<PointId>>>()
-                })
-            })
-            .collect();
-        let mut merged = Vec::with_capacity(probes.len());
-        for handle in handles {
-            merged.extend(handle.join().expect("range-query worker panicked"));
-        }
-        merged
-    })
-}
 
 /// Nearest discovered core within ε for one probe point: the raw working
 /// cluster id of the closest entry of `cores`, ties broken toward the
@@ -92,9 +38,8 @@ fn nearest_core_cid(
 /// kd-tree over the discovered cores. `result[i]` is the raw cluster id
 /// `probes[i]` attaches to, or `None` when no core lies within ε.
 ///
-/// Same determinism argument as [`batch_range_queries`]: probes are
-/// chunked in order, chunks join in spawn order, and each lookup is a
-/// pure function of the shared immutable tree.
+/// `threads <= 1` or a batch of fewer than two probes stays on the calling
+/// thread.
 pub(crate) fn batch_nearest_cores(
     points: &PointSet,
     cores: &PointSet,
@@ -145,7 +90,6 @@ pub(crate) fn batch_nearest_cores(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dbsvec_index::{LinearScan, RangeIndex};
 
     fn grid(n: usize) -> PointSet {
         let mut ps = PointSet::new(2);
@@ -153,33 +97,6 @@ mod tests {
             ps.push(&[(i % 7) as f64, (i / 7) as f64 * 1.5]);
         }
         ps
-    }
-
-    #[test]
-    fn batched_results_match_sequential_queries_in_probe_order() {
-        let ps = grid(41);
-        let idx = LinearScan::build(&ps);
-        let probes: Vec<PointId> = (0..ps.len() as PointId).step_by(3).collect();
-        let mut want = Vec::new();
-        for &id in &probes {
-            let mut out = Vec::new();
-            idx.range(ps.point(id), 2.0, &mut out);
-            want.push(out);
-        }
-        for threads in [1, 2, 3, 8, 64] {
-            let got = batch_range_queries(&ps, &idx, 2.0, &probes, threads);
-            assert_eq!(got, want, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn empty_batches_and_single_probes_are_fine() {
-        let ps = grid(5);
-        let idx = LinearScan::build(&ps);
-        assert!(batch_range_queries(&ps, &idx, 1.0, &[], 4).is_empty());
-        let one = batch_range_queries(&ps, &idx, 0.5, &[2], 4);
-        assert_eq!(one.len(), 1);
-        assert!(one[0].contains(&2));
     }
 
     #[test]

@@ -43,8 +43,9 @@ pub(crate) struct RunState<'a, I: RangeIndex> {
     /// neighborhood) or unclassified, and the attachment pass resolves the
     /// latter.
     pub candidates: Option<Vec<bool>>,
-    /// Effective worker count for the parallel fit path, resolved once from
-    /// `config.parallel` so every phase (and every SMO training) agrees.
+    /// Worker count for the sampled attachment pass (`batch_nearest_cores`),
+    /// resolved once from `config.parallel`. Expansion's range queries and
+    /// every SMO training run on the calling thread whatever its value.
     pub threads: usize,
     /// Every event the run has emitted, folded into counts: the one source
     /// of the returned `DbsvecStats`.
@@ -91,7 +92,20 @@ impl<'a, I: RangeIndex> RunState<'a, I> {
         out.clear();
         self.index
             .range(self.points.point(id), self.config.eps, out);
-        self.record_range_query(id, out.len());
+        self.emit(Event::RangeQuery {
+            probe: id,
+            result_len: out.len(),
+        });
+        self.queried[id as usize] = true;
+        // Only candidates can hold core status: the sampled mode's density
+        // estimate lives on the subsample, so the discovered core set (and
+        // the `ClusterModel` built from it) is a subset of the candidates.
+        let core = out.len() >= self.config.min_pts && self.is_candidate(id);
+        self.core_status[id as usize] = if core {
+            CoreStatus::Core
+        } else {
+            CoreStatus::NonCore
+        };
     }
 
     /// Whether `id` may test core. Always true on exact fits; sampled fits
@@ -100,28 +114,6 @@ impl<'a, I: RangeIndex> RunState<'a, I> {
         self.candidates
             .as_ref()
             .map_or(true, |mask| mask[id as usize])
-    }
-
-    /// Accounting for a materializing range query whose result was computed
-    /// elsewhere (the batched expansion path runs the index probes on worker
-    /// threads, then replays this bookkeeping on the driving thread in
-    /// support-vector order so stats, events, and memoization are identical
-    /// to the sequential path).
-    pub fn record_range_query(&mut self, id: PointId, result_len: usize) {
-        self.emit(Event::RangeQuery {
-            probe: id,
-            result_len,
-        });
-        self.queried[id as usize] = true;
-        // Only candidates can hold core status: the sampled mode's density
-        // estimate lives on the subsample, so the discovered core set (and
-        // the `ClusterModel` built from it) is a subset of the candidates.
-        self.core_status[id as usize] =
-            if result_len >= self.config.min_pts && self.is_candidate(id) {
-                CoreStatus::Core
-            } else {
-                CoreStatus::NonCore
-            };
     }
 
     /// Memoized core test (issues a counting query on first use).

@@ -32,8 +32,8 @@ impl QueryStats {
 /// both algorithms' indexes in `CountingIndex` lets the Table II harness
 /// verify that claim empirically. Counters use relaxed [`AtomicU64`]s so the
 /// wrapper stays usable behind the `&self` query interface *and* stays
-/// `Sync` — DBSVEC's parallel fit path fans range queries out across scoped
-/// threads against a shared index, and the totals must still come out exact
+/// `Sync` — parallel DBSCAN and the threaded k-dist scan query a shared
+/// index from scoped threads, and the totals must still come out exact
 /// (each query increments once; no ordering between queries is needed).
 pub struct CountingIndex<I> {
     inner: I,

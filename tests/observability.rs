@@ -1,9 +1,13 @@
 //! Integration tests for the observability layer against *real* runs:
-//! span-nesting invariants, replay exactness, and the JSONL trace format.
+//! span-nesting invariants, replay exactness, the JSONL trace format, and
+//! the index seeing exactly the traced range queries, in order.
+
+use std::cell::RefCell;
 
 use dbsvec::datasets::gaussian_mixture;
+use dbsvec::index::{LinearScan, RangeIndex};
 use dbsvec::obs::{Event, JsonlSink, Phase, Record, RecordingObserver, ReplayCounts, Tee};
-use dbsvec::{Dbsvec, DbsvecConfig};
+use dbsvec::{Dbsvec, DbsvecConfig, PointId};
 
 fn fitted_recording() -> (RecordingObserver, dbsvec::core::DbsvecResult) {
     let ds = gaussian_mixture(2500, 8, 5, 900.0, 1e5, 11);
@@ -119,4 +123,61 @@ fn jsonl_trace_of_a_real_run_parses_and_replays() {
     assert_eq!(replayed.seeds, result.stats().seeds);
     assert_eq!(replayed.smo_iterations, result.stats().smo_iterations);
     assert_eq!(replayed, recorder.replay());
+}
+
+/// A linear scan that logs every query point in a `RefCell`, so it is not
+/// `Sync`: a fit through it compiles only because every range query runs
+/// on the calling thread.
+struct LoggingScan<'a> {
+    inner: LinearScan<'a>,
+    log: RefCell<Vec<Vec<f64>>>,
+}
+
+impl RangeIndex for LoggingScan<'_> {
+    fn range(&self, query: &[f64], eps: f64, out: &mut Vec<PointId>) {
+        self.log.borrow_mut().push(query.to_vec());
+        self.inner.range(query, eps, out);
+    }
+
+    fn count_range(&self, query: &[f64], eps: f64) -> usize {
+        self.log.borrow_mut().push(query.to_vec());
+        self.inner.count_range(query, eps)
+    }
+
+    fn len(&self) -> usize {
+        self.inner.len()
+    }
+}
+
+#[test]
+fn a_non_sync_index_sees_the_traced_probes_in_order() {
+    let ds = gaussian_mixture(1200, 4, 4, 900.0, 1e5, 7);
+    let eps = dbsvec::datasets::standins::suggest_eps(&ds.points, 10, 2);
+    let plain = Dbsvec::new(DbsvecConfig::new(eps, 10).with_threads(1))
+        .fit_with_index(&ds.points, &LinearScan::build(&ds.points));
+    assert!(plain.num_clusters() >= 2, "want a multi-cluster run");
+    assert!(plain.stats().expansion_rounds > plain.stats().seeds);
+    for threads in [1, 4] {
+        let index = LoggingScan {
+            inner: LinearScan::build(&ds.points),
+            log: RefCell::new(Vec::new()),
+        };
+        let mut recorder = RecordingObserver::new();
+        let result = Dbsvec::new(DbsvecConfig::new(eps, 10).with_threads(threads))
+            .fit_with_index_observed(&ds.points, &index, &mut recorder);
+        assert_eq!(result.labels(), plain.labels(), "threads={threads}");
+        let probes: Vec<Vec<f64>> = recorder
+            .records()
+            .iter()
+            .filter_map(|r| match r {
+                Record::Event {
+                    event: Event::RangeQuery { probe, .. },
+                    ..
+                } => Some(ds.points.point(*probe).to_vec()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(probes.len() as u64, result.stats().range_queries);
+        assert_eq!(index.log.into_inner(), probes, "threads={threads}");
+    }
 }
