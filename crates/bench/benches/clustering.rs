@@ -6,9 +6,11 @@
 //! methods, exact DBSCAN next, DBSCAN-LSH last.
 //!
 //! Also checks the observability overhead claims: `fit` vs
-//! `fit_observed(&mut NoopObserver)` and plain serving vs the noop-observed
-//! serving path must be within noise (±2%) — disabled instrumentation is
-//! supposed to inline away. The envelope is printed on every run and
+//! `fit_observed(&mut NoopObserver)`, `assign_many` vs
+//! `assign_many_observed(.., &mut NoopObserver)`, and an engine without a
+//! quality monitor vs one with it must be within noise (±2%) — disabled
+//! instrumentation is supposed to inline away, and monitoring is meant to
+//! be always-on-able. The envelope is printed on every run and
 //! enforced as a hard assert under `MICROBENCH_ENFORCE=1` (quick-mode
 //! sampling is too noisy for CI to assert unconditionally).
 
@@ -18,7 +20,7 @@ use dbsvec_baselines::{
 use dbsvec_bench::micro::{black_box, Runner};
 use dbsvec_core::{Dbsvec, DbsvecConfig};
 use dbsvec_datasets::{random_walk_clusters, RandomWalkConfig};
-use dbsvec_engine::{Engine, ModelArtifact, MonitorConfig};
+use dbsvec_engine::{Engine, EngineConfig, EngineMetrics, ModelArtifact, MonitorConfig};
 use dbsvec_geometry::rng::SplitMix64;
 use dbsvec_index::KdTree;
 use dbsvec_obs::NoopObserver;
@@ -150,11 +152,9 @@ fn bench_noop_observer_overhead(runner: &Runner) {
     check_envelope("noop observer overhead", plain, observed, 2.0);
 }
 
-/// The serving counterpart: with telemetry disabled (no `EngineMetrics`
-/// in play), assignment through the stats + observer seam must cost the
-/// same as a bare `classify` loop — the seam's noop events and counter
-/// bumps have to inline away. Guards the metered-method refactor against
-/// creeping into the default path.
+/// The serving counterpart: the batch assignment path with a noop
+/// observer must cost the same as the unobserved one — the observer
+/// seam's noop events have to inline away.
 fn bench_serve_telemetry_overhead(runner: &Runner) {
     let n = runner.size(20_000, 2_000);
     println!("serve_telemetry_overhead_{}k_8d", n / 1000);
@@ -167,37 +167,42 @@ fn bench_serve_telemetry_overhead(runner: &Runner) {
         ModelArtifact::from_fit(points, fit.labels(), fit.core_points(), eps, min_pts as u32)
             .expect("fit produces a valid artifact");
     let engine = std::cell::RefCell::new(Engine::new(&artifact));
+    let metrics = std::cell::RefCell::new(EngineMetrics::new());
+    let rows: Vec<&[f64]> = points.iter().map(|(_, p)| p).collect();
 
     let (plain, observed) = runner.bench_pair(
-        "engine_classify_loop",
-        "engine_assign_batch_noop_observed",
+        "engine_assign_many",
+        "engine_assign_many_noop_observed",
         || {
-            let e = engine.borrow();
-            let queries = black_box(points);
-            (0..queries.len())
-                .map(|i| e.classify(queries.point(i as u32)))
-                .filter(|a| a.cluster().is_some())
-                .count()
+            engine
+                .borrow_mut()
+                .assign_many(black_box(&rows), 1, &mut metrics.borrow_mut())
+                .len()
         },
         || {
             engine
                 .borrow_mut()
-                .assign_batch_observed(black_box(points), 1, &mut NoopObserver)
+                .assign_many_observed(
+                    black_box(&rows),
+                    1,
+                    &mut metrics.borrow_mut(),
+                    &mut NoopObserver,
+                )
                 .len()
         },
     );
     check_envelope("disabled-telemetry serve overhead", plain, observed, 2.0);
 }
 
-/// The quality-monitor counterpart of the telemetry check: folding every
-/// assignment into a quality monitor (histogram bump, occupancy counter,
-/// amortized per-window drift math) must stay inside the same ±2%
-/// envelope as the other observability seams — monitoring is meant to be
-/// always-on-able in serving. The ingest seam is checked on real mixed
-/// traffic (promotions, borders, buffered points): each sample rebuilds
-/// the engine from the artifact so every run ingests the identical
-/// stream into identical state, and the rebuild cost lands on both sides
-/// of the comparison equally.
+/// The quality-monitor counterpart of the telemetry check: an engine that
+/// folds every assignment into its quality monitor (histogram bump,
+/// occupancy counter, amortized per-window drift math) must stay inside
+/// the same ±2% envelope as an engine without one — monitoring is meant
+/// to be always-on-able in serving. The ingest seam is checked on real
+/// mixed traffic (promotions, borders, buffered points): each sample
+/// rebuilds the engine from the artifact so every run ingests the
+/// identical stream into identical state, and the rebuild cost lands on
+/// both sides of the comparison equally.
 fn bench_monitor_overhead(runner: &Runner) {
     let n = runner.size(20_000, 2_000);
     println!("monitor_overhead_{}k_8d", n / 1000);
@@ -210,30 +215,23 @@ fn bench_monitor_overhead(runner: &Runner) {
         ModelArtifact::from_fit(points, fit.labels(), fit.core_points(), eps, min_pts as u32)
             .expect("fit produces a valid artifact")
             .with_quality(points, fit.labels());
-    let engine = std::cell::RefCell::new(Engine::new(&artifact));
+    let monitored_config = EngineConfig::new().with_monitor(MonitorConfig::new());
+    let assign_loop = |engine: &std::cell::RefCell<Engine>| {
+        let mut e = engine.borrow_mut();
+        let queries = black_box(points);
+        (0..queries.len())
+            .filter(|&i| e.assign(queries.point(i as u32)).cluster().is_some())
+            .count()
+    };
+    let plain_engine = std::cell::RefCell::new(Engine::new(&artifact));
+    let monitored_engine =
+        std::cell::RefCell::new(Engine::with_config(&artifact, monitored_config));
 
     let (plain, monitored) = runner.bench_pair(
         "engine_assign_loop",
         "engine_assign_monitored_loop",
-        || {
-            let mut e = engine.borrow_mut();
-            let queries = black_box(points);
-            (0..queries.len())
-                .filter(|&i| e.assign(queries.point(i as u32)).cluster().is_some())
-                .count()
-        },
-        || {
-            let mut e = engine.borrow_mut();
-            let mut monitor = e.monitor(MonitorConfig::new());
-            let queries = black_box(points);
-            (0..queries.len())
-                .filter(|&i| {
-                    e.assign_monitored(queries.point(i as u32), &mut monitor, &mut NoopObserver)
-                        .cluster()
-                        .is_some()
-                })
-                .count()
-        },
+        || assign_loop(&plain_engine),
+        || assign_loop(&monitored_engine),
     );
     check_envelope("monitored assign overhead", plain, monitored, 2.0);
 
@@ -249,24 +247,17 @@ fn bench_monitor_overhead(runner: &Runner) {
         }
         stream.push(&buf);
     }
+    let ingest_stream = |config: EngineConfig| {
+        let mut e = Engine::with_config(black_box(&artifact), config);
+        (0..stream.len())
+            .map(|i| e.ingest(stream.point(i as u32)))
+            .count()
+    };
     let (plain_ingest, monitored_ingest) = runner.bench_pair(
         "engine_ingest_stream",
         "engine_ingest_monitored_stream",
-        || {
-            let mut e = Engine::new(black_box(&artifact));
-            (0..stream.len())
-                .map(|i| e.ingest_observed(stream.point(i as u32), &mut NoopObserver))
-                .count()
-        },
-        || {
-            let mut e = Engine::new(black_box(&artifact));
-            let mut monitor = e.monitor(MonitorConfig::new());
-            (0..stream.len())
-                .map(|i| {
-                    e.ingest_monitored(stream.point(i as u32), &mut monitor, &mut NoopObserver)
-                })
-                .count()
-        },
+        || ingest_stream(EngineConfig::new()),
+        || ingest_stream(monitored_config),
     );
     check_envelope(
         "monitored ingest overhead",

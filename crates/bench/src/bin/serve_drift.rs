@@ -3,15 +3,15 @@
 //!
 //! Fits DBSVEC on a Gaussian mixture, records the fit-time quality
 //! baseline into the model, and then serves two synthetic query streams
-//! through [`Engine::assign_monitored`]:
+//! through engines that own a [`QualityMonitor`] ([`Engine::assign`]):
 //!
 //! * **stationary** — training points jittered by at most ε/2 per
 //!   coordinate, i.e. traffic drawn from the fitted distribution;
 //! * **drifted** — the same jitter plus a constant 3·ε offset on every
 //!   coordinate, a population shift the model has never seen.
 //!
-//! Each stream gets a fresh engine and a fresh [`QualityMonitor`], so
-//! the two runs cannot contaminate each other. The experiment asserts —
+//! Each stream gets a fresh engine, and with it a fresh monitor, so the
+//! two runs cannot contaminate each other. The experiment asserts —
 //! unconditionally, not just under an env var — that the monitor flags
 //! the drifted stream (smoothed score at or above the alert threshold)
 //! while leaving the stationary stream unflagged, and writes the
@@ -22,10 +22,10 @@ use dbsvec_bench::harness::{time, BENCH_SCHEMA_VERSION};
 use dbsvec_bench::parse_args;
 use dbsvec_core::{Dbsvec, DbsvecConfig};
 use dbsvec_datasets::{gaussian_mixture, standins::suggest_eps};
-use dbsvec_engine::{Engine, ModelArtifact, MonitorConfig, QualityMonitor};
+use dbsvec_engine::{Engine, EngineConfig, ModelArtifact, MonitorConfig, QualityMonitor};
 use dbsvec_geometry::rng::SplitMix64;
 use dbsvec_geometry::PointSet;
-use dbsvec_obs::{Json, NoopObserver};
+use dbsvec_obs::Json;
 
 const DIMS: usize = 8;
 const CLUSTERS: usize = 5;
@@ -90,22 +90,22 @@ fn serve_stream(
     queries: &PointSet,
     threshold: f64,
 ) -> StreamOutcome {
-    let mut engine = Engine::new(artifact);
-    let mut monitor: QualityMonitor = engine.monitor(
+    let config = EngineConfig::new().with_monitor(
         MonitorConfig::new()
             .with_window(WINDOW)
             .with_drift_threshold(threshold),
     );
+    let mut engine = Engine::with_config(artifact, config);
+    let (_, secs) = time(|| {
+        for i in 0..queries.len() {
+            engine.assign(queries.point(i as u32));
+        }
+    });
+    let monitor: &QualityMonitor = engine.monitor().expect("the engine was built with one");
     assert!(
         monitor.has_baseline(),
         "the artifact must carry a quality baseline for this experiment"
     );
-    let mut obs = NoopObserver;
-    let (_, secs) = time(|| {
-        for i in 0..queries.len() {
-            engine.assign_monitored(queries.point(i as u32), &mut monitor, &mut obs);
-        }
-    });
     let signals = monitor
         .signals()
         .expect("at least one window must complete");

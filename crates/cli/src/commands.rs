@@ -20,7 +20,7 @@ use dbsvec_datasets::{
 };
 use dbsvec_engine::{
     snapshot, Assignment, Engine, EngineConfig, EngineMetrics, ModelArtifact, MonitorConfig,
-    QualityMonitor, RemoveOutcome, SampledMode, SamplingInfo,
+    QualityMonitor, SampledMode, SamplingInfo,
 };
 use dbsvec_geometry::{PointId, PointSet};
 use dbsvec_index::{k_distance_profile, k_distance_profile_for_ids, knee_epsilon, KdTree};
@@ -76,11 +76,9 @@ fn write_metrics_file(path: &str, reg: &Registry) -> Result<(), CliError> {
         .map_err(|e| CliError(format!("cannot write metrics file {path}: {e}")))
 }
 
-/// Resolves `--metrics-file` / `--metrics-interval` into an optional
-/// telemetry sink: `(metrics, path, interval)`.
-fn open_metrics(
-    args: &ParsedArgs,
-) -> Result<(Option<EngineMetrics>, Option<String>, usize), CliError> {
+/// Resolves `--metrics-file` / `--metrics-interval` into the dump path and
+/// re-dump interval (`0` = only at the end).
+fn metrics_options(args: &ParsedArgs) -> Result<(Option<String>, usize), CliError> {
     let path = args.get("metrics-file").map(str::to_string);
     let interval: usize = args.get_or("metrics-interval", 0)?;
     if path.is_none() && interval > 0 {
@@ -88,35 +86,47 @@ fn open_metrics(
             "--metrics-interval requires --metrics-file".to_string(),
         ));
     }
-    let metrics = path.as_ref().map(|_| EngineMetrics::new());
-    Ok((metrics, path, interval))
+    Ok((path, interval))
 }
 
-/// Final refresh + dump + note, shared by `serve` and `ingest`. When a
-/// quality monitor ran, its drift gauges land in the dump too.
-fn finish_metrics(
-    metrics: &mut Option<EngineMetrics>,
+/// Refreshes `metrics` from the engine (its monitor's drift gauges
+/// included) and dumps them to `path`, if one was given.
+fn dump_metrics(
+    metrics: &mut EngineMetrics,
     path: Option<&str>,
     engine: &Engine,
-    monitor: Option<&QualityMonitor>,
+) -> Result<(), CliError> {
+    if let Some(path) = path {
+        metrics.refresh(engine);
+        write_metrics_file(path, metrics.registry())?;
+    }
+    Ok(())
+}
+
+/// Final dump + note, shared by `serve` and `ingest`.
+fn finish_metrics(
+    metrics: &mut EngineMetrics,
+    path: Option<&str>,
+    engine: &Engine,
     out: &mut dyn Write,
 ) -> Result<(), CliError> {
-    if let (Some(m), Some(path)) = (metrics.as_mut(), path) {
-        match monitor {
-            Some(mon) => m.refresh_with_monitor(engine, mon),
-            None => m.refresh(engine),
-        }
-        write_metrics_file(path, m.registry())?;
+    dump_metrics(metrics, path, engine)?;
+    if let Some(path) = path {
         writeln!(out, "metrics written to {path}")?;
     }
     Ok(())
 }
 
-/// Resolves `--refit-threshold` into an engine configuration.
+/// Resolves `--refit-threshold` and the `--monitor` flags into an engine
+/// configuration.
 fn engine_config(args: &ParsedArgs) -> Result<EngineConfig, CliError> {
+    let config = EngineConfig {
+        monitor: monitor_options(args)?,
+        ..EngineConfig::default()
+    };
     match args.get_parsed::<f64>("refit-threshold")? {
-        None => Ok(EngineConfig::default()),
-        Some(t) if t.is_finite() && t > 0.0 => Ok(EngineConfig::default().with_refit_threshold(t)),
+        None => Ok(config),
+        Some(t) if t.is_finite() && t > 0.0 => Ok(config.with_refit_threshold(t)),
         Some(t) => Err(CliError(format!(
             "--refit-threshold must be a positive number, got {t}"
         ))),
@@ -188,33 +198,27 @@ fn print_drift_summary(monitor: &QualityMonitor, out: &mut dyn Write) -> Result<
 
 /// The refit recommendation line: staleness and (when monitored) drift,
 /// each against its own threshold.
-fn print_recommendation(
-    engine: &Engine,
-    monitor: Option<&QualityMonitor>,
-    out: &mut dyn Write,
-) -> Result<(), CliError> {
-    let stale = engine.refit_recommended();
-    let drifted = monitor.is_some_and(QualityMonitor::drift_exceeded);
-    if stale || drifted {
-        let why = match (stale, drifted) {
-            (true, true) => format!(
-                "staleness above {:.0}% and drift above {:.2}",
-                engine.config().refit_threshold * 100.0,
-                monitor.expect("drifted").config().drift_threshold
-            ),
-            (true, false) => format!(
-                "staleness above {:.0}%",
-                engine.config().refit_threshold * 100.0
-            ),
-            _ => format!(
-                "smoothed drift score at or above {:.2}",
-                monitor.expect("drifted").config().drift_threshold
-            ),
-        };
-        writeln!(out, "recommendation: re-fit from scratch ({why})")?;
-    } else {
-        writeln!(out, "recommendation: model is still fresh")?;
-    }
+fn print_recommendation(engine: &Engine, out: &mut dyn Write) -> Result<(), CliError> {
+    let refit_threshold = engine.config().refit_threshold;
+    let stale = engine.staleness() >= refit_threshold;
+    let drifted = engine.monitor().filter(|m| m.drift_exceeded());
+    let why = match (stale, drifted) {
+        (false, None) => {
+            writeln!(out, "recommendation: model is still fresh")?;
+            return Ok(());
+        }
+        (true, Some(m)) => format!(
+            "staleness above {:.0}% and drift above {:.2}",
+            refit_threshold * 100.0,
+            m.config().drift_threshold
+        ),
+        (true, None) => format!("staleness above {:.0}%", refit_threshold * 100.0),
+        (false, Some(m)) => format!(
+            "smoothed drift score at or above {:.2}",
+            m.config().drift_threshold
+        ),
+    };
+    writeln!(out, "recommendation: re-fit from scratch ({why})")?;
     Ok(())
 }
 
@@ -715,16 +719,9 @@ pub fn serve(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
     let model_path = args.require("model")?;
     let assign_path = args.require("assign")?;
     let threads: usize = args.get_or("threads", 1)?;
-    let (mut metrics, metrics_path, metrics_interval) = open_metrics(args)?;
-    let monitor_config = monitor_options(args)?;
+    let (metrics_path, metrics_interval) = metrics_options(args)?;
     let config = engine_config(args)?;
-    if monitor_config.is_some() && threads > 1 {
-        return Err(CliError(
-            "--monitor folds every assignment into one window stream and is \
-             single-threaded; drop --threads"
-                .to_string(),
-        ));
-    }
+    let mut metrics = EngineMetrics::new();
 
     let profile = args.has_switch("profile");
     let mut sink = open_trace(args)?;
@@ -737,11 +734,8 @@ pub fn serve(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
     let (artifact, bytes) = snapshot::read_file(Path::new(model_path))
         .map_err(|e| CliError(format!("cannot load model {model_path}: {e}")))?;
     obs.event(&Event::SnapshotLoad { bytes });
-    if let Some(m) = metrics.as_mut() {
-        m.inc_snapshot_load();
-    }
+    metrics.inc_snapshot_load();
     let mut engine = Engine::with_config(&artifact, config);
-    let mut monitor = monitor_config.map(|c| engine.monitor(c));
     writeln!(
         out,
         "model: {}-d, {} core points, {} clusters, eps = {:.6}, MinPts = {} ({bytes} bytes)",
@@ -769,62 +763,23 @@ pub fn serve(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
 
     obs.span_enter(Phase::Serve);
     let start = Instant::now();
-    let assignments = if let Some(mon) = monitor.as_mut() {
-        // Monitored path: every assignment folds into the tumbling window
-        // (distances included), so windows complete — and drift alerts
-        // fire — while the batch streams through.
-        let mut assignments = Vec::with_capacity(queries.len());
-        for (i, p) in queries.iter() {
-            let t = Instant::now();
-            let a = engine.assign_monitored(p, mon, obs);
-            assignments.push(a);
-            if let Some(m) = metrics.as_mut() {
-                m.record_assign(t.elapsed());
-                if metrics_interval > 0 && (i as usize + 1) % metrics_interval == 0 {
-                    let path = metrics_path.as_deref().expect("metrics imply a path");
-                    m.refresh_with_monitor(&engine, mon);
-                    write_metrics_file(path, m.registry())?;
-                }
-            }
-        }
-        assignments
+    // With `--metrics-interval N` the batch runs in N-query parts and the
+    // dump is re-flushed after each, so a scraper watching the file sees
+    // progress mid-batch. A monitor folds every answer into its windows
+    // in query order, so windows and alerts do not depend on `--threads`.
+    let rows: Vec<&[f64]> = queries.iter().map(|(_, p)| p).collect();
+    let part_len = if metrics_interval == 0 {
+        rows.len()
     } else {
-        match metrics.as_mut() {
-            None => engine.assign_batch_observed(&queries, threads, obs),
-            Some(m) => {
-                // Metered path: per-query latency lands in the registry, and
-                // the dump is re-flushed every `--metrics-interval` queries so
-                // a scraper watching the file sees progress mid-batch.
-                let n = queries.len();
-                let chunk = if metrics_interval == 0 {
-                    n
-                } else {
-                    metrics_interval
-                };
-                let path = metrics_path.as_deref().expect("metrics imply a path");
-                let mut assignments = Vec::with_capacity(n);
-                let mut lo = 0;
-                while lo < n {
-                    let hi = (lo + chunk).min(n);
-                    let mut part = PointSet::new(queries.dims());
-                    for i in lo..hi {
-                        part.push(queries.point(i as u32));
-                    }
-                    let res = engine.assign_batch_metered(&part, threads, m);
-                    for a in &res {
-                        obs.event(&Event::Assign {
-                            hit: matches!(a, Assignment::Cluster(_)),
-                        });
-                    }
-                    assignments.extend(res);
-                    m.refresh(&engine);
-                    write_metrics_file(path, m.registry())?;
-                    lo = hi;
-                }
-                assignments
-            }
-        }
+        metrics_interval
     };
+    let mut assignments = Vec::with_capacity(rows.len());
+    for part in rows.chunks(part_len) {
+        assignments.extend(engine.assign_many_observed(part, threads, &mut metrics, obs));
+        if metrics_interval > 0 {
+            dump_metrics(&mut metrics, metrics_path.as_deref(), &engine)?;
+        }
+    }
     let seconds = start.elapsed().as_secs_f64();
     obs.span_exit(Phase::Serve);
 
@@ -839,9 +794,9 @@ pub fn serve(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
         queries.len() as f64 / seconds.max(1e-9),
         queries.len() - hits
     )?;
-    if let Some(mon) = monitor.as_ref() {
+    if let Some(mon) = engine.monitor() {
         print_drift_summary(mon, out)?;
-        print_recommendation(&engine, Some(mon), out)?;
+        print_recommendation(&engine, out)?;
     }
 
     if let Some(output) = args.get("output") {
@@ -857,13 +812,7 @@ pub fn serve(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
             ProfileReport::from_recording(&recorder, queries.len())
         )?;
     }
-    finish_metrics(
-        &mut metrics,
-        metrics_path.as_deref(),
-        &engine,
-        monitor.as_ref(),
-        out,
-    )?;
+    finish_metrics(&mut metrics, metrics_path.as_deref(), &engine, out)?;
     finish_trace(args, sink, out)?;
     Ok(())
 }
@@ -1049,9 +998,9 @@ pub fn ingest(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
     ])?;
     let model_path = args.require("model")?;
     let input = args.require("input")?;
-    let (mut metrics, metrics_path, metrics_interval) = open_metrics(args)?;
-    let monitor_config = monitor_options(args)?;
+    let (metrics_path, metrics_interval) = metrics_options(args)?;
     let config = engine_config(args)?;
+    let mut metrics = EngineMetrics::new();
 
     let mut sink = open_trace(args)?;
     let observing = sink.is_some();
@@ -1063,11 +1012,8 @@ pub fn ingest(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
     let (artifact, bytes) = snapshot::read_file(Path::new(model_path))
         .map_err(|e| CliError(format!("cannot load model {model_path}: {e}")))?;
     obs.event(&Event::SnapshotLoad { bytes });
-    if let Some(m) = metrics.as_mut() {
-        m.inc_snapshot_load();
-    }
+    metrics.inc_snapshot_load();
     let mut engine = Engine::with_config(&artifact, config);
-    let mut monitor = monitor_config.map(|c| engine.monitor(c));
 
     let (points, _) = read_csv(Path::new(input))?;
     if points.is_empty() {
@@ -1093,34 +1039,13 @@ pub fn ingest(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
         let t = Instant::now();
         if remove_row[i as usize] {
             let outcome = engine.remove_observed(p, obs);
-            if let Some(m) = metrics.as_mut() {
-                m.record_remove(t.elapsed());
-                if let RemoveOutcome::Removed { splits: 1.., .. } = outcome {
-                    m.record_split(t.elapsed());
-                }
-            }
+            metrics.record_remove(t.elapsed(), outcome);
         } else {
-            match monitor.as_mut() {
-                Some(mon) => {
-                    engine.ingest_monitored(p, mon, obs);
-                }
-                None => {
-                    engine.ingest_observed(p, obs);
-                }
-            }
-            if let Some(m) = metrics.as_mut() {
-                m.record_ingest(t.elapsed());
-            }
+            engine.ingest_observed(p, obs);
+            metrics.record_ingest(t.elapsed());
         }
-        if let Some(m) = metrics.as_mut() {
-            if metrics_interval > 0 && (i as usize + 1) % metrics_interval == 0 {
-                let path = metrics_path.as_deref().expect("metrics imply a path");
-                match monitor.as_ref() {
-                    Some(mon) => m.refresh_with_monitor(&engine, mon),
-                    None => m.refresh(&engine),
-                }
-                write_metrics_file(path, m.registry())?;
-            }
+        if metrics_interval > 0 && (i as usize + 1) % metrics_interval == 0 {
+            dump_metrics(&mut metrics, metrics_path.as_deref(), &engine)?;
         }
     }
     let seconds = start.elapsed().as_secs_f64();
@@ -1154,28 +1079,20 @@ pub fn ingest(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
         engine.num_clusters(),
         engine.staleness() * 100.0
     )?;
-    if let Some(mon) = monitor.as_ref() {
+    if let Some(mon) = engine.monitor() {
         print_drift_summary(mon, out)?;
     }
-    print_recommendation(&engine, monitor.as_ref(), out)?;
+    print_recommendation(&engine, out)?;
 
     if let Some(save) = args.get("save") {
         let snap = engine.snapshot();
         let bytes = snapshot::write_file(&snap, Path::new(save))
             .map_err(|e| CliError(format!("cannot write model {save}: {e}")))?;
         obs.event(&Event::SnapshotWrite { bytes });
-        if let Some(m) = metrics.as_mut() {
-            m.inc_snapshot_write();
-        }
+        metrics.inc_snapshot_write();
         writeln!(out, "updated model written to {save} ({bytes} bytes)")?;
     }
-    finish_metrics(
-        &mut metrics,
-        metrics_path.as_deref(),
-        &engine,
-        monitor.as_ref(),
-        out,
-    )?;
+    finish_metrics(&mut metrics, metrics_path.as_deref(), &engine, out)?;
     finish_trace(args, sink, out)?;
     Ok(())
 }
@@ -2506,8 +2423,10 @@ mod tests {
         assert!(err.contains("(0, 1]"), "got: {err}");
         let err = run_err(&with(&["--refit-threshold", "-0.5"]));
         assert!(err.contains("--refit-threshold"), "got: {err}");
-        let err = run_err(&with(&["--monitor", "--threads", "4"]));
-        assert!(err.contains("single-threaded"), "got: {err}");
+        // The monitor folds a threaded batch in query order after the join.
+        let text = run_ok(&with(&["--monitor", "--threads", "4"]));
+        assert!(text.contains("4 threads"), "got: {text}");
+        assert!(text.contains("drift:"), "got: {text}");
         let err = run_err(&[
             "monitor-report",
             "--input",

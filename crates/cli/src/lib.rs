@@ -172,7 +172,9 @@ QUALITY MONITORING (serve, ingest):
   --monitor             window live traffic into the same distributions and
                         score the drift (histogram EMD, occupancy shift,
                         noise-rate delta); alerts and window summaries land
-                        in traces and in the metrics dump
+                        in traces and in the metrics dump. serve --threads N
+                        folds answers into the windows in input order, so
+                        windows and alerts are the same at every N
   --monitor-window N    observations per tumbling window (default 512)
   --drift-threshold F   smoothed-score alert threshold in (0, 1]
                         (default 0.35); at or above it, a re-fit is

@@ -42,7 +42,14 @@
 //! witnesses are only counted approximately), so the engine tracks a
 //! [`Engine::staleness`] ratio — accumulated topology changes, removals
 //! included, relative to the fitted core count — and recommends a re-fit
-//! once it passes 25%.
+//! once it passes 25%. An engine built with [`EngineConfig::monitor`]
+//! also owns a [`QualityMonitor`]: every answer and ingest outcome folds
+//! into its windows, and its smoothed drift score is refit evidence too.
+//!
+//! Each operation has one method and one `_observed` form that forwards
+//! its events to an [`Observer`]; batches of assignments go through
+//! [`Engine::assign_many`], which times every row into [`EngineMetrics`].
+//! Timing a single call is the caller's business.
 
 use std::collections::HashMap;
 use std::time::Instant;
@@ -168,9 +175,8 @@ pub struct HealthSnapshot {
     /// Accumulated topology drift per fitted core ([`Engine::staleness`]).
     pub staleness: f64,
     /// Whether the refit evidence crossed a threshold: staleness past
-    /// [`EngineConfig::refit_threshold`], or — when produced by
-    /// [`Engine::health_with`] — the monitor's smoothed drift score past
-    /// its alert threshold.
+    /// [`EngineConfig::refit_threshold`], or — with a monitor attached —
+    /// the monitor's smoothed drift score past its alert threshold.
     pub refit_recommended: bool,
     /// Current core points (fitted + promoted).
     pub core_points: usize,
@@ -183,8 +189,8 @@ pub struct HealthSnapshot {
     /// Times the core kd-tree has been rebuilt.
     pub tree_rebuilds: u64,
     /// Distribution-drift evidence from the quality monitor's last
-    /// completed window. `None` from [`Engine::health`], or when the
-    /// monitor has no baseline or no completed window yet.
+    /// completed window. `None` without a monitor, or when the monitor has
+    /// no baseline or no completed window yet.
     pub drift: Option<DriftSignals>,
     /// Provenance of a sampled fit (`None` when the model was fitted
     /// exactly) — quality expectations differ for a model discovered
@@ -211,12 +217,16 @@ pub struct EngineConfig {
     /// Staleness ratio above which a refit is recommended. Lower values
     /// trade refit churn for model freshness.
     pub refit_threshold: f64,
+    /// Attaches a [`QualityMonitor`] with these tunables (`None`: no drift
+    /// monitoring).
+    pub monitor: Option<MonitorConfig>,
 }
 
 impl Default for EngineConfig {
     fn default() -> Self {
         Self {
             refit_threshold: REFIT_THRESHOLD,
+            monitor: None,
         }
     }
 }
@@ -238,6 +248,12 @@ impl EngineConfig {
             "refit threshold must be positive and finite, got {threshold}"
         );
         self.refit_threshold = threshold;
+        self
+    }
+
+    /// Attaches a quality monitor configured by `monitor`.
+    pub fn with_monitor(mut self, monitor: MonitorConfig) -> Self {
+        self.monitor = Some(monitor);
         self
     }
 }
@@ -285,9 +301,11 @@ pub struct Engine {
     boundaries: Option<Vec<ClusterBoundary>>,
     /// Fit-time quality baseline; dropped on the first topology change
     /// like the boundaries (its occupancy is indexed by the fitted
-    /// cluster ids). A [`QualityMonitor`] keeps its own copy, so drift is
-    /// still scored against the original fit after promotions.
+    /// cluster ids). The monitor keeps its own copy, so drift is still
+    /// scored against the original fit after promotions.
     quality: Option<QualityBaseline>,
+    /// Drift monitor over served traffic ([`EngineConfig::monitor`]).
+    monitor: Option<QualityMonitor>,
     /// Sampled-fit provenance; survives topology changes (unlike the
     /// boundaries and baseline, it describes how the fit was *made*, not
     /// the current topology).
@@ -389,6 +407,9 @@ impl Engine {
             tracked,
             boundaries: artifact.boundaries.clone(),
             quality: artifact.quality.clone(),
+            monitor: config
+                .monitor
+                .map(|m| QualityMonitor::from_parts(artifact.eps, artifact.quality.as_ref(), m)),
             sampling: artifact.sampling,
             config,
             initial_cores: artifact.cores.len(),
@@ -484,11 +505,10 @@ impl Engine {
         self.sampling
     }
 
-    /// Builds a [`QualityMonitor`] for this engine's model, scoring
-    /// against the fit-time baseline when one is still held (degraded,
-    /// staleness-only mode otherwise).
-    pub fn monitor(&self, config: MonitorConfig) -> QualityMonitor {
-        QualityMonitor::from_parts(self.eps, self.quality.as_ref(), config)
+    /// The attached quality monitor, scoring against the fit-time
+    /// baseline (degraded, staleness-only mode when the model had none).
+    pub fn monitor(&self) -> Option<&QualityMonitor> {
+        self.monitor.as_ref()
     }
 
     /// Accumulated topology drift relative to the fitted model:
@@ -505,9 +525,15 @@ impl Engine {
         drift as f64 / (self.initial_cores.max(1)) as f64
     }
 
-    /// Whether the drift warrants re-fitting from scratch.
+    /// Whether the drift warrants re-fitting from scratch: staleness at
+    /// or past [`EngineConfig::refit_threshold`], or the monitor's
+    /// smoothed drift score at or past its alert threshold.
     pub fn refit_recommended(&self) -> bool {
         self.staleness() >= self.config.refit_threshold
+            || self
+                .monitor
+                .as_ref()
+                .is_some_and(QualityMonitor::drift_exceeded)
     }
 
     /// One coherent snapshot of the engine's operational health.
@@ -520,35 +546,22 @@ impl Engine {
             clusters: self.num_display,
             buffered_points: self.buffered.len(),
             tree_rebuilds: self.tree_rebuilds,
-            drift: None,
+            drift: self.monitor.as_ref().and_then(QualityMonitor::signals),
             sampling: self.sampling,
         }
     }
 
-    /// [`Engine::health`] enriched with the monitor's drift evidence: the
-    /// refit recommendation combines staleness with the smoothed drift
-    /// score, each against its own threshold.
-    pub fn health_with(&self, monitor: &QualityMonitor) -> HealthSnapshot {
-        let mut h = self.health();
-        h.drift = monitor.signals();
-        h.refit_recommended = h.refit_recommended || monitor.drift_exceeded();
-        h
-    }
-
-    /// Pure classification: nearest core within ε, else noise. Shared by
-    /// the single and batch paths; touches no counters, so it needs only
-    /// `&self` and is safe to call from scoped threads.
+    /// Pure classification: nearest core within ε, else noise. Touches no
+    /// counters, so it needs only `&self`.
     pub fn classify(&self, x: &[f64]) -> Assignment {
-        assert_eq!(x.len(), self.dims, "query dimensionality mismatch");
-        match self.nearest_core(x) {
-            Some((_, slot)) => Assignment::Cluster(self.display[slot as usize]),
-            None => Assignment::Noise,
-        }
+        self.classify_scored(x).0
     }
 
     /// [`Engine::classify`] that also reports the distance to the nearest
     /// core for cluster hits — the quantity the quality monitor windows.
-    pub fn classify_scored(&self, x: &[f64]) -> (Assignment, Option<f64>) {
+    /// Shared by the single and batch paths, and safe to call from scoped
+    /// threads.
+    fn classify_scored(&self, x: &[f64]) -> (Assignment, Option<f64>) {
         assert_eq!(x.len(), self.dims, "query dimensionality mismatch");
         match self.nearest_core(x) {
             Some((d_sq, slot)) => (
@@ -588,13 +601,32 @@ impl Engine {
         best
     }
 
-    /// Classifies one observation, recording stats and an
-    /// [`Event::Assign`].
-    pub fn assign_observed(&mut self, x: &[f64], obs: &mut dyn Observer) -> Assignment {
-        let a = self.classify(x);
+    /// Records one answer: emits its [`Event::Assign`] and folds it (and
+    /// the distance to the nearest core) into the monitor, emitting
+    /// [`Event::QualityWindow`] / [`Event::DriftAlert`] when it completes a
+    /// window.
+    fn record_assign(
+        &mut self,
+        (a, distance): (Assignment, Option<f64>),
+        obs: &mut dyn Observer,
+    ) -> Assignment {
         let hit = matches!(a, Assignment::Cluster(_));
         self.emit(obs, Event::Assign { hit });
+        if let Some(report) = self
+            .monitor
+            .as_mut()
+            .and_then(|m| m.observe_assign(a, distance))
+        {
+            self.emit_window(&report, obs);
+        }
         a
+    }
+
+    /// Classifies one observation, recording stats, an [`Event::Assign`]
+    /// and, with a monitor attached, the answer's window.
+    pub fn assign_observed(&mut self, x: &[f64], obs: &mut dyn Observer) -> Assignment {
+        let scored = self.classify_scored(x);
+        self.record_assign(scored, obs)
     }
 
     /// [`Engine::assign_observed`] without observation.
@@ -619,195 +651,89 @@ impl Engine {
             .min((n / Self::SPAWN_AMORTIZATION_FLOOR).max(1))
     }
 
-    /// The one batch-classification fan-out every batch entry point
-    /// shares. Splits the queries into contiguous chunks across scoped
-    /// threads when [`Engine::fan_out_width`] says the spawn cost
-    /// amortizes, otherwise classifies sequentially. When `timed`, each
-    /// query's latency lands in a worker-local [`Histogram`] (bucket merge
-    /// is associative, so the merged result equals single-threaded
-    /// recording); untimed callers skip the clock reads entirely.
-    fn classify_batch_inner(
+    /// The one batch-classification loop. Splits the rows into contiguous
+    /// chunks across scoped threads when [`Engine::fan_out_width`] says
+    /// the spawn cost amortizes, otherwise classifies on the calling
+    /// thread. Each row's latency lands in a worker-local [`Histogram`]
+    /// (bucket merge is associative, so the merged result equals
+    /// single-threaded recording).
+    fn classify_rows<R: AsRef<[f64]> + Sync>(
         &self,
-        queries: &PointSet,
+        rows: &[R],
         threads: usize,
-        timed: bool,
-    ) -> (Vec<Assignment>, Histogram) {
-        assert_eq!(queries.dims(), self.dims, "query dimensionality mismatch");
-        let n = queries.len();
-        let width = Self::fan_out_width(n, threads);
-        let classify_range = |lo: usize, hi: usize| {
-            let mut local = Histogram::new();
-            let answers: Vec<Assignment> = (lo..hi)
-                .map(|i| {
-                    if timed {
-                        let start = Instant::now();
-                        let a = self.classify(queries.point(i as u32));
-                        local.record_duration(start.elapsed());
-                        a
-                    } else {
-                        self.classify(queries.point(i as u32))
-                    }
+    ) -> (Vec<(Assignment, Option<f64>)>, Histogram) {
+        let classify_chunk = |chunk: &[R]| {
+            let mut latencies = Histogram::new();
+            let answers: Vec<_> = chunk
+                .iter()
+                .map(|r| {
+                    let start = Instant::now();
+                    let scored = self.classify_scored(r.as_ref());
+                    latencies.record_duration(start.elapsed());
+                    scored
                 })
                 .collect();
-            (answers, local)
+            (answers, latencies)
         };
+        let width = Self::fan_out_width(rows.len(), threads);
         if width == 1 {
-            return classify_range(0, n);
+            return classify_chunk(rows);
         }
-        let chunk = n.div_ceil(width);
-        let mut results: Vec<Assignment> = Vec::with_capacity(n);
+        let mut answers = Vec::with_capacity(rows.len());
         let mut latencies = Histogram::new();
         std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..width)
-                .map(|t| {
-                    let lo = t * chunk;
-                    let hi = ((t + 1) * chunk).min(n);
-                    scope.spawn(move || classify_range(lo, hi))
-                })
+            let handles: Vec<_> = rows
+                .chunks(rows.len().div_ceil(width))
+                .map(|chunk| scope.spawn(move || classify_chunk(chunk)))
                 .collect();
             for h in handles {
-                let (answers, local) = h.join().expect("classification must not panic");
-                results.extend(answers);
+                let (chunk_answers, local) = h.join().expect("classification must not panic");
+                answers.extend(chunk_answers);
                 latencies.merge(&local);
             }
         });
-        (results, latencies)
+        (answers, latencies)
     }
 
-    /// Folds a batch of answers into the serving stats, emitting one
-    /// [`Event::Assign`] per answer.
-    fn record_batch_stats(&mut self, results: &[Assignment], obs: &mut dyn Observer) {
-        for a in results {
-            let hit = matches!(a, Assignment::Cluster(_));
-            self.emit(obs, Event::Assign { hit });
-        }
-    }
-
-    /// Classifies a batch with a scoped-thread fan-out over contiguous
-    /// chunks. `threads == 0` or `1` stays on the calling thread, as do
-    /// batches too small to amortize the spawn cost (see
-    /// [`Engine::SPAWN_AMORTIZATION_FLOOR`]). Events and stats are
-    /// recorded after the join (observers are `&mut` and cannot be shared
-    /// across the fan-out).
-    pub fn assign_batch_observed(
+    /// Classifies a batch of coordinate rows — the shape HTTP bodies and
+    /// in-process callers share — with every row's latency recorded into
+    /// `metrics`. Rows fan out over scoped threads when the batch is large
+    /// enough (see [`Engine::SPAWN_AMORTIZATION_FLOOR`]; `threads == 0` or
+    /// `1` stays on the calling thread). Stats, events and monitor windows
+    /// are recorded after the join, in row order (observers and the
+    /// monitor are `&mut` and cannot be shared across the fan-out), so
+    /// they match a loop of [`Engine::assign_observed`] at any thread
+    /// count.
+    pub fn assign_many_observed<R: AsRef<[f64]> + Sync>(
         &mut self,
-        queries: &PointSet,
-        threads: usize,
-        obs: &mut dyn Observer,
-    ) -> Vec<Assignment> {
-        let (results, _) = self.classify_batch_inner(queries, threads, false);
-        self.record_batch_stats(&results, obs);
-        results
-    }
-
-    /// [`Engine::assign_batch_observed`] without observation.
-    pub fn assign_batch(&mut self, queries: &PointSet, threads: usize) -> Vec<Assignment> {
-        self.assign_batch_observed(queries, threads, &mut NoopObserver)
-    }
-
-    /// [`Engine::assign`] with per-call latency recorded into `metrics`.
-    pub fn assign_metered(&mut self, x: &[f64], metrics: &mut EngineMetrics) -> Assignment {
-        let start = Instant::now();
-        let a = self.assign(x);
-        metrics.record_assign(start.elapsed());
-        a
-    }
-
-    /// [`Engine::assign_batch`] with per-query latency recorded into
-    /// `metrics`, through the same fan-out (and the same amortization
-    /// floor) as [`Engine::assign_batch_observed`].
-    pub fn assign_batch_metered(
-        &mut self,
-        queries: &PointSet,
+        rows: &[R],
         threads: usize,
         metrics: &mut EngineMetrics,
+        obs: &mut dyn Observer,
     ) -> Vec<Assignment> {
-        let (results, latencies) = self.classify_batch_inner(queries, threads, true);
-        self.record_batch_stats(&results, &mut NoopObserver);
+        let (scored, latencies) = self.classify_rows(rows, threads);
         metrics.merge_assign_latencies(&latencies);
-        results
+        scored
+            .into_iter()
+            .map(|s| self.record_assign(s, obs))
+            .collect()
     }
 
-    /// Classifies a batch handed over as raw coordinate rows — the shape
-    /// HTTP bodies and in-process callers share — with per-query latency
-    /// recorded into `metrics`. Small batches skip the [`PointSet`] copy
-    /// and the fan-out entirely; large ones delegate to
-    /// [`Engine::assign_batch_metered`], so there is exactly one fan-out
-    /// implementation either way.
-    pub fn assign_many<R: AsRef<[f64]>>(
+    /// [`Engine::assign_many_observed`] without observation.
+    pub fn assign_many<R: AsRef<[f64]> + Sync>(
         &mut self,
         rows: &[R],
         threads: usize,
         metrics: &mut EngineMetrics,
     ) -> Vec<Assignment> {
-        if Self::fan_out_width(rows.len(), threads) == 1 {
-            let mut local = Histogram::new();
-            let results: Vec<Assignment> = rows
-                .iter()
-                .map(|r| {
-                    let start = Instant::now();
-                    let a = self.classify(r.as_ref());
-                    local.record_duration(start.elapsed());
-                    a
-                })
-                .collect();
-            self.record_batch_stats(&results, &mut NoopObserver);
-            metrics.merge_assign_latencies(&local);
-            return results;
-        }
-        let mut set = PointSet::new(self.dims);
-        for r in rows {
-            set.push(r.as_ref());
-        }
-        self.assign_batch_metered(&set, threads, metrics)
-    }
-
-    /// [`Engine::assign_observed`] folding the result (and the distance
-    /// to the nearest core) into a quality monitor. Emits
-    /// [`Event::QualityWindow`] / [`Event::DriftAlert`] when this call
-    /// completes a window. Sequential by design: the monitor is `&mut`
-    /// shared state.
-    pub fn assign_monitored(
-        &mut self,
-        x: &[f64],
-        monitor: &mut QualityMonitor,
-        obs: &mut dyn Observer,
-    ) -> Assignment {
-        let (a, distance) = self.classify_scored(x);
-        let hit = matches!(a, Assignment::Cluster(_));
-        self.emit(obs, Event::Assign { hit });
-        if let Some(report) = monitor.observe_assign(a, distance) {
-            self.emit_window(&report, obs);
-        }
-        a
-    }
-
-    /// [`Engine::ingest_observed`] folding the outcome into a quality
-    /// monitor (outcome only — no extra range query). Emits window and
-    /// alert events like [`Engine::assign_monitored`].
-    pub fn ingest_monitored(
-        &mut self,
-        x: &[f64],
-        monitor: &mut QualityMonitor,
-        obs: &mut dyn Observer,
-    ) -> IngestOutcome {
-        let out = self.ingest_observed(x, obs);
-        if let Some(report) = monitor.observe_ingest(out) {
-            self.emit_window(&report, obs);
-        }
-        out
-    }
-
-    /// [`Engine::ingest`] with per-call latency recorded into `metrics`.
-    pub fn ingest_metered(&mut self, x: &[f64], metrics: &mut EngineMetrics) -> IngestOutcome {
-        let start = Instant::now();
-        let out = self.ingest(x);
-        metrics.record_ingest(start.elapsed());
-        out
+        self.assign_many_observed(rows, threads, metrics, &mut NoopObserver)
     }
 
     /// Absorbs one observation, recording stats and [`Event::Ingest`] /
-    /// [`Event::Promote`] / [`Event::Merge`] as appropriate.
+    /// [`Event::Promote`] / [`Event::Merge`] as appropriate. With a monitor
+    /// attached, the outcome then folds into its window (duplicates carry
+    /// no distribution information and are skipped), emitting window and
+    /// alert events like [`Engine::assign_observed`].
     pub fn ingest_observed(&mut self, x: &[f64], obs: &mut dyn Observer) -> IngestOutcome {
         assert_eq!(x.len(), self.dims, "query dimensionality mismatch");
         let key = coord_key(x);
@@ -876,6 +802,13 @@ impl Engine {
             self.fix_swapped_buffer(i);
             let hits = self.core_hits(&b.coords);
             self.promote(&b.coords, &hits, b.count, obs);
+        }
+        if let Some(report) = self
+            .monitor
+            .as_mut()
+            .and_then(|m| m.observe_ingest(outcome))
+        {
+            self.emit_window(&report, obs);
         }
         outcome
     }
@@ -1141,32 +1074,6 @@ impl Engine {
         self.remove_observed(x, &mut NoopObserver)
     }
 
-    /// [`Engine::remove`] with per-call latency recorded into `metrics`
-    /// (removals that split a cluster also land in the split-repair
-    /// histogram).
-    pub fn remove_metered(&mut self, x: &[f64], metrics: &mut EngineMetrics) -> RemoveOutcome {
-        let start = Instant::now();
-        let out = self.remove(x);
-        let elapsed = start.elapsed();
-        metrics.record_remove(elapsed);
-        if let RemoveOutcome::Removed { splits: 1.., .. } = out {
-            metrics.record_split(elapsed);
-        }
-        out
-    }
-
-    /// Removes raw coordinate rows — the shape HTTP bodies share — with
-    /// per-call latency recorded into `metrics`.
-    pub fn remove_many<R: AsRef<[f64]>>(
-        &mut self,
-        rows: &[R],
-        metrics: &mut EngineMetrics,
-    ) -> Vec<RemoveOutcome> {
-        rows.iter()
-            .map(|r| self.remove_metered(r.as_ref(), metrics))
-            .collect()
-    }
-
     /// Tears `slot` out of the core graph and repairs the display
     /// labels: a vanished component's label is compacted away; on a
     /// split, the piece containing the smallest slot keeps the label and
@@ -1298,15 +1205,13 @@ mod tests {
     #[test]
     fn batch_agrees_with_single() {
         let mut engine = Engine::new(&grid_artifact());
-        let mut queries = PointSet::new(2);
-        for i in 0..200 {
-            queries.push(&[(i % 7) as f64, (i % 3) as f64 * 50.0]);
-        }
-        let expected: Vec<Assignment> = (0..queries.len())
-            .map(|i| engine.classify(queries.point(i as u32)))
+        let queries: Vec<[f64; 2]> = (0..200)
+            .map(|i| [(i % 7) as f64, (i % 3) as f64 * 50.0])
             .collect();
+        let expected: Vec<Assignment> = queries.iter().map(|q| engine.classify(q)).collect();
         for threads in [1, 2, 4, 7] {
-            assert_eq!(engine.assign_batch(&queries, threads), expected);
+            let mut m = EngineMetrics::new();
+            assert_eq!(engine.assign_many(&queries, threads, &mut m), expected);
         }
         assert_eq!(engine.stats().assigns, 4 * 200);
     }
@@ -1489,49 +1394,55 @@ mod tests {
     fn monitored_paths_window_and_alert() {
         use dbsvec_obs::RecordingObserver;
         let artifact = grid_artifact().with_quality_from_labels();
-        let mut engine = Engine::new(&artifact);
-        assert!(engine.quality().is_some());
-        let mut monitor = engine.monitor(
+        let config = EngineConfig::new().with_monitor(
             MonitorConfig::new()
                 .with_window(8)
                 .with_drift_threshold(0.3)
                 .with_ewma_alpha(1.0),
         );
+        let mut engine = Engine::with_config(&artifact, config);
+        assert!(engine.quality().is_some());
         let mut rec = RecordingObserver::new();
         // All-noise traffic: maximal noise delta against a 0%-noise fit.
         for _ in 0..8 {
-            let a = engine.assign_monitored(&[2.0, 50.0], &mut monitor, &mut rec);
+            let a = engine.assign_observed(&[2.0, 50.0], &mut rec);
             assert_eq!(a, Assignment::Noise);
         }
         let counts = rec.replay();
         assert_eq!(counts.assigns, 8);
         assert_eq!(counts.quality_windows, 1);
         assert_eq!(counts.drift_alerts, 1);
-        let h = engine.health_with(&monitor);
+        let h = engine.health();
         assert!(h.refit_recommended, "drift alone must recommend refit");
+        assert!(engine.refit_recommended());
         assert_eq!(h.staleness, 0.0);
         let drift = h.drift.expect("completed window carries signals");
         assert!(drift.smoothed_score >= 0.3, "{drift:?}");
         assert_eq!(drift.dominant(), "noise_delta");
-        // Plain health stays drift-blind.
-        assert!(engine.health().drift.is_none());
-        assert!(!engine.health().refit_recommended);
+        // An engine without a monitor stays drift-blind on the same traffic.
+        let mut plain = Engine::new(&artifact);
+        for _ in 0..8 {
+            plain.assign(&[2.0, 50.0]);
+        }
+        assert!(plain.monitor().is_none());
+        assert!(plain.health().drift.is_none());
+        assert!(!plain.health().refit_recommended);
     }
 
     #[test]
     fn monitored_ingest_counts_windows() {
         use dbsvec_obs::RecordingObserver;
         let artifact = grid_artifact().with_quality_from_labels();
-        let mut engine = Engine::new(&artifact);
-        let mut monitor = engine.monitor(MonitorConfig::new().with_window(4));
+        let config = EngineConfig::new().with_monitor(MonitorConfig::new().with_window(4));
+        let mut engine = Engine::with_config(&artifact, config);
         let mut rec = RecordingObserver::new();
         for i in 0..4 {
-            engine.ingest_monitored(&[30.0 + i as f64 * 8.0, 30.0], &mut monitor, &mut rec);
+            engine.ingest_observed(&[30.0 + i as f64 * 8.0, 30.0], &mut rec);
         }
         let counts = rec.replay();
         assert_eq!(counts.ingests, 4);
         assert_eq!(counts.quality_windows, 1);
-        assert_eq!(monitor.windows_completed(), 1);
+        assert_eq!(engine.monitor().unwrap().windows_completed(), 1);
     }
 
     impl ModelArtifact {

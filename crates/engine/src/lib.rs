@@ -10,21 +10,22 @@
 //!   trained boundaries via [`ModelArtifact::with_boundaries`];
 //! * [`snapshot`] — a versioned, checksummed, dependency-free binary
 //!   format (`.dbm`) that round-trips an artifact bit-for-bit;
-//! * [`Engine`] ([`engine`]) — an online ingest/assign server: nearest
-//!   core-within-ε assignment off a kd-tree, streaming ingest with
-//!   MinPts-gated core promotion and union–find merging, scoped-thread
-//!   batch fan-out, and a staleness heuristic that recommends re-fitting;
+//! * [`Engine`] ([`engine`]) — an online ingest/assign/remove server:
+//!   nearest core-within-ε assignment off a kd-tree, streaming ingest with
+//!   MinPts-gated core promotion and merging, removal with exact split
+//!   repair, scoped-thread batch fan-out, and a staleness heuristic that
+//!   recommends re-fitting;
 //! * [`EngineMetrics`] ([`metrics`]) — a pre-wired telemetry registry:
 //!   counters showing [`EngineStats`] (itself a view of the engine's fold
 //!   of the events it emits), health gauges showing [`HealthSnapshot`],
 //!   and per-call latency histograms. Exposed as Prometheus text or JSON
 //!   via `dbsvec_obs::telemetry::expo`;
 //! * [`QualityMonitor`] ([`monitor`]) — online drift detection: the fit
-//!   records a [`QualityBaseline`] into the artifact, the monitor windows
-//!   live traffic into the same distributions and scores histogram,
-//!   occupancy, and noise-rate drift, feeding
-//!   [`Engine::health_with`](engine::Engine::health_with) refit evidence
-//!   beyond staleness.
+//!   records a [`QualityBaseline`] into the artifact, and an engine built
+//!   with [`EngineConfig::monitor`] windows live traffic into the same
+//!   distributions and scores histogram, occupancy, and noise-rate drift,
+//!   which [`Engine::health`](engine::Engine::health) reports as refit
+//!   evidence beyond staleness.
 //!
 //! Everything observes through the `dbsvec-obs` seam (`Assign`, `Ingest`,
 //! `Promote`, `SnapshotWrite`/`SnapshotLoad` events under the `serve`

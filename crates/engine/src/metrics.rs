@@ -3,23 +3,23 @@
 //! [`EngineMetrics`] owns a `dbsvec-obs` telemetry registry with every
 //! serving metric pre-registered from tables of `(name, help, value)`
 //! rows: lifetime counters showing [`EngineStats`] fields, health gauges
-//! showing [`HealthSnapshot`] fields, the quality monitor's counters and
-//! gauges, and per-call latency histograms.
+//! showing [`HealthSnapshot`] fields, the attached quality monitor's
+//! counters and gauges, and per-call latency histograms.
 //!
 //! * **Counters and gauges** are never incremented per call.
 //!   [`EngineMetrics::refresh`] overwrites them from the engine's
 //!   [`EngineStats`] — a view of the engine's own event fold, so the
-//!   registry, the stats and a replayed trace read one source — and from
-//!   its current [`HealthSnapshot`]. Both are authoritative, so any
-//!   refresh cadence gives the same numbers.
-//! * **Latency histograms** are the only per-call state, filled by
-//!   whoever times the call: the engine's `*_metered` methods and
-//!   [`Engine::assign_many`] / [`Engine::remove_many`], or a caller timing
-//!   a larger unit itself (the HTTP router times each locked shard call,
-//!   the CLI each ingest or removal) through [`EngineMetrics::record_assign`]
-//!   and its siblings. The plain `assign`/`ingest` paths never touch
-//!   telemetry, so the disabled-telemetry cost is exactly zero — the bench
-//!   overhead guard pins this.
+//!   registry, the stats and a replayed trace read one source — from its
+//!   current [`HealthSnapshot`], and from its monitor, if it has one. All
+//!   are authoritative, so any refresh cadence gives the same numbers.
+//! * **Latency histograms** are the only per-call state. The engine fills
+//!   the assignment histogram itself, one sample per row of
+//!   [`Engine::assign_many`]; every other sample comes from the caller
+//!   that timed the call (the HTTP router and the CLI time each ingest and
+//!   removal) through [`EngineMetrics::record_ingest`] /
+//!   [`EngineMetrics::record_remove`]. The single-call `assign` / `ingest`
+//!   / `remove` paths never touch telemetry, so the disabled-telemetry
+//!   cost is exactly zero — the bench overhead guard pins this.
 //! * **Snapshot I/O** is counted by explicit
 //!   [`EngineMetrics::inc_snapshot_write`] /
 //!   [`EngineMetrics::inc_snapshot_load`] calls at the persistence call
@@ -30,7 +30,7 @@ use std::time::Duration;
 use dbsvec_obs::telemetry::{CounterId, GaugeId, Histogram, HistogramId, HistogramMetric};
 use dbsvec_obs::Registry;
 
-use crate::engine::{Engine, EngineStats, HealthSnapshot};
+use crate::engine::{Engine, EngineStats, HealthSnapshot, RemoveOutcome};
 use crate::monitor::QualityMonitor;
 
 /// One metric: name, help text, and how to read its value from `S`.
@@ -259,34 +259,18 @@ impl EngineMetrics {
     }
 
     /// Overwrites counters from the engine's cumulative [`EngineStats`]
-    /// and gauges from its current [`HealthSnapshot`]. Safe to call at any
-    /// cadence; both sources are authoritative.
+    /// and gauges from its current [`HealthSnapshot`] (whose refit gauge
+    /// carries the monitor's drift evidence). With a monitor attached, also
+    /// publishes its state: window/alert counters, per-signal drift
+    /// gauges, windowed noise rate, and lazily registered per-cluster
+    /// occupancy gauges (`dbsvec_cluster_occupancy_c<N>`, the registry has
+    /// no label support). Safe to call at any cadence; every source is
+    /// authoritative.
     pub fn refresh(&mut self, engine: &Engine) {
         self.refresh_from_parts(&engine.stats(), &engine.health());
-    }
-
-    /// [`EngineMetrics::refresh`] from already-captured parts. The HTTP
-    /// router uses this to publish one aggregate registry over N shards:
-    /// it sums the shards' [`EngineStats`] (all counters are additive) and
-    /// folds their [`HealthSnapshot`]s (counts sum, staleness takes the
-    /// max, refit ORs) before refreshing.
-    pub fn refresh_from_parts(&mut self, s: &EngineStats, h: &HealthSnapshot) {
-        for (&id, (_, _, value)) in self.stat_counters.iter().zip(&STAT_COUNTERS) {
-            self.reg.set_counter(id, value(s));
-        }
-        for (&id, (_, _, value)) in self.health_gauges.iter().zip(&HEALTH_GAUGES) {
-            self.reg.set(id, value(h));
-        }
-    }
-
-    /// [`EngineMetrics::refresh`] plus the quality monitor's state:
-    /// window/alert counters, per-signal drift gauges, windowed noise
-    /// rate, and lazily registered per-cluster occupancy gauges
-    /// (`dbsvec_cluster_occupancy_c<N>`, the registry has no label
-    /// support). The refit gauge reflects the combined evidence of
-    /// [`Engine::health_with`].
-    pub fn refresh_with_monitor(&mut self, engine: &Engine, monitor: &QualityMonitor) {
-        self.refresh_from_parts(&engine.stats(), &engine.health_with(monitor));
+        let Some(monitor) = engine.monitor() else {
+            return;
+        };
         for (&id, (_, _, value)) in self.monitor_counters.iter().zip(&MONITOR_COUNTERS) {
             self.reg.set_counter(id, value(monitor));
         }
@@ -306,6 +290,20 @@ impl EngineMetrics {
         }
     }
 
+    /// [`EngineMetrics::refresh`] from already-captured parts. The HTTP
+    /// router uses this to publish one aggregate registry over N shards:
+    /// it sums the shards' [`EngineStats`] (all counters are additive) and
+    /// folds their [`HealthSnapshot`]s (counts sum, staleness takes the
+    /// max, refit ORs) before refreshing.
+    pub fn refresh_from_parts(&mut self, s: &EngineStats, h: &HealthSnapshot) {
+        for (&id, (_, _, value)) in self.stat_counters.iter().zip(&STAT_COUNTERS) {
+            self.reg.set_counter(id, value(s));
+        }
+        for (&id, (_, _, value)) in self.health_gauges.iter().zip(&HEALTH_GAUGES) {
+            self.reg.set(id, value(h));
+        }
+    }
+
     /// Records one assignment's wall-clock latency.
     pub fn record_assign(&mut self, d: Duration) {
         self.reg.observe_duration(self.assign_latency, d);
@@ -316,18 +314,18 @@ impl EngineMetrics {
         self.reg.observe_duration(self.ingest_latency, d);
     }
 
-    /// Records one removal's wall-clock latency.
-    pub fn record_remove(&mut self, d: Duration) {
+    /// Records one removal's wall-clock latency, and the same reading in
+    /// the split-repair histogram when the removal split a cluster.
+    pub fn record_remove(&mut self, d: Duration, outcome: RemoveOutcome) {
         self.reg.observe_duration(self.remove_latency, d);
+        if let RemoveOutcome::Removed { splits: 1.., .. } = outcome {
+            self.reg.observe_duration(self.split_latency, d);
+        }
     }
 
-    /// Records the latency of a removal whose repair split a cluster.
-    pub fn record_split(&mut self, d: Duration) {
-        self.reg.observe_duration(self.split_latency, d);
-    }
-
-    /// Folds a worker-local histogram of assignment latencies (nanosecond
-    /// ticks) into the registry — the merge half of the batch fan-out.
+    /// Folds a histogram of assignment latencies (nanosecond ticks) into
+    /// the registry — the merge half of the batch fan-out, and of
+    /// multi-shard exposition.
     pub fn merge_assign_latencies(&mut self, local: &Histogram) {
         self.reg.merge_histogram(self.assign_latency, local);
     }
@@ -451,35 +449,6 @@ mod tests {
     }
 
     #[test]
-    fn metered_calls_fill_latency_histograms_and_agree_with_plain() {
-        let mut engine = Engine::new(&two_cluster_artifact());
-        let mut m = EngineMetrics::new();
-        let a = engine.assign_metered(&[2.0, 0.5], &mut m);
-        assert_eq!(a, engine.classify(&[2.0, 0.5]));
-        let out = engine.ingest_metered(&[2.0, 0.6], &mut m);
-        assert!(!matches!(out, crate::IngestOutcome::Duplicate));
-        assert_eq!(m.assign_latency().histogram().count(), 1);
-        assert_eq!(m.ingest_latency().histogram().count(), 1);
-        assert!(m.assign_latency().histogram().p50().is_some());
-    }
-
-    #[test]
-    fn batch_metered_records_one_sample_per_query_across_threads() {
-        let mut engine = Engine::new(&two_cluster_artifact());
-        let mut queries = PointSet::new(2);
-        for i in 0..100 {
-            queries.push(&[(i % 7) as f64, (i % 3) as f64 * 50.0]);
-        }
-        let expected = engine.assign_batch(&queries, 1);
-        for threads in [1, 3] {
-            let mut m = EngineMetrics::new();
-            let got = engine.assign_batch_metered(&queries, threads, &mut m);
-            assert_eq!(got, expected);
-            assert_eq!(m.assign_latency().histogram().count(), 100);
-        }
-    }
-
-    #[test]
     fn fan_out_width_enforces_the_amortization_floor() {
         let floor = Engine::SPAWN_AMORTIZATION_FLOOR;
         // Small batches never fan out, whatever was requested.
@@ -549,9 +518,9 @@ mod tests {
     }
 
     #[test]
-    fn refresh_with_monitor_publishes_drift_gauges() {
+    fn refresh_publishes_the_monitor_drift_gauges() {
+        use crate::engine::EngineConfig;
         use crate::monitor::MonitorConfig;
-        use dbsvec_obs::NoopObserver;
 
         let mut cores = PointSet::new(2);
         for i in 0..5 {
@@ -570,16 +539,16 @@ mod tests {
         let points = cores;
         let clustering = dbsvec_core::Clustering::from_assignments(vec![Some(0); 5]);
         let artifact = artifact.with_quality(&points, &clustering);
-        let mut engine = Engine::new(&artifact);
-        let mut monitor = engine.monitor(
+        let config = EngineConfig::new().with_monitor(
             MonitorConfig::new()
                 .with_window(4)
                 .with_drift_threshold(0.3)
                 .with_ewma_alpha(1.0),
         );
+        let mut engine = Engine::with_config(&artifact, config);
         let mut m = EngineMetrics::new();
         // Before any window: baseline present, everything else zero.
-        m.refresh_with_monitor(&engine, &monitor);
+        m.refresh(&engine);
         let reg = m.registry();
         assert_eq!(
             reg.gauge_value("dbsvec_quality_baseline_present"),
@@ -591,9 +560,9 @@ mod tests {
 
         // An all-noise window: maximal noise delta, alert, occupancy gauge.
         for _ in 0..4 {
-            engine.assign_monitored(&[50.0, 50.0], &mut monitor, &mut NoopObserver);
+            engine.assign(&[50.0, 50.0]);
         }
-        m.refresh_with_monitor(&engine, &monitor);
+        m.refresh(&engine);
         let reg = m.registry();
         assert_eq!(reg.counter_value("dbsvec_quality_windows_total"), Some(1));
         assert_eq!(reg.counter_value("dbsvec_drift_alerts_total"), Some(1));
@@ -603,6 +572,25 @@ mod tests {
         assert_eq!(reg.gauge_value("dbsvec_drift_noise_delta"), Some(1.0));
         assert_eq!(reg.gauge_value("dbsvec_refit_recommended"), Some(1.0));
         assert_eq!(reg.gauge_value("dbsvec_cluster_occupancy_c0"), Some(0.0));
+    }
+
+    #[test]
+    fn record_remove_files_a_splitting_removal_under_both_histograms() {
+        let mut m = EngineMetrics::new();
+        let d = Duration::from_micros(40);
+        m.record_remove(d, RemoveOutcome::NotFound);
+        let removed = |splits| RemoveOutcome::Removed {
+            was_core: true,
+            demoted: 0,
+            splits,
+        };
+        m.record_remove(d, removed(0));
+        m.record_remove(d, removed(2));
+        assert_eq!(m.remove_latency().histogram().count(), 3);
+        let split = m.split_latency().histogram();
+        assert_eq!(split.count(), 1);
+        // One clock reading feeds both histograms.
+        assert_eq!(split.p50(), m.remove_latency().histogram().p50());
     }
 
     #[test]

@@ -18,10 +18,11 @@
 //! maximum (the strongest single piece of evidence), smoothed with an
 //! EWMA across windows so one odd window cannot flip an alert. When the
 //! smoothed score crosses [`MonitorConfig::drift_threshold`], the window
-//! report carries an alert and
-//! [`Engine::health_with`](crate::Engine::health_with) flips the refit
-//! recommendation — drift is refit evidence the flat staleness ratio is
-//! blind to, since assignment traffic never changes topology.
+//! report carries an alert and an engine that owns the monitor
+//! ([`EngineConfig::monitor`](crate::EngineConfig::monitor)) flips its
+//! [`refit_recommended`](crate::Engine::refit_recommended) — drift is
+//! refit evidence the flat staleness ratio is blind to, since assignment
+//! traffic never changes topology.
 //!
 //! Models without a baseline (pre-v2 snapshots) still monitor in
 //! **degraded mode**: window noise rate and occupancy are tracked and
@@ -31,7 +32,7 @@
 use dbsvec_obs::telemetry::quality::{hist_drift, share_shift, Ewma};
 use dbsvec_obs::{Event, Histogram};
 
-use crate::artifact::{distance_ticks, ModelArtifact, QualityBaseline};
+use crate::artifact::{distance_ticks, QualityBaseline};
 use crate::engine::{Assignment, IngestOutcome};
 
 /// Default observations per tumbling window.
@@ -49,7 +50,7 @@ pub struct MonitorConfig {
     /// Observations per tumbling window.
     pub window: usize,
     /// Smoothed-score threshold at which a window raises a drift alert
-    /// (and [`crate::Engine::health_with`] recommends a refit).
+    /// (and the owning engine recommends a refit).
     pub drift_threshold: f64,
     /// EWMA smoothing factor for the combined score, in `(0, 1]`.
     pub ewma_alpha: f64,
@@ -194,8 +195,9 @@ struct BaselineView {
 /// Folds served traffic into windowed distributions and scores drift
 /// against the fit-time baseline. See the module docs for the model.
 ///
-/// The monitor is sequential state: feed it from one thread (the engine's
-/// monitored paths do). It keeps scoring against the *original* fit
+/// The monitor is sequential state, fed from one thread: the owning
+/// engine folds each answer into it in query order, after any batch
+/// fan-out has joined. It keeps scoring against the *original* fit
 /// baseline even as the engine's topology evolves — the baseline is the
 /// reference the drift question is asked about.
 #[derive(Clone, Debug)]
@@ -218,12 +220,6 @@ pub struct QualityMonitor {
 }
 
 impl QualityMonitor {
-    /// Builds a monitor for a loaded artifact (degraded mode when the
-    /// artifact carries no quality baseline).
-    pub fn new(artifact: &ModelArtifact, config: MonitorConfig) -> Self {
-        Self::from_parts(artifact.eps, artifact.quality.as_ref(), config)
-    }
-
     /// Builds a monitor from the model ε and an optional baseline.
     pub fn from_parts(eps: f64, baseline: Option<&QualityBaseline>, config: MonitorConfig) -> Self {
         let baseline = baseline.map(|q| BaselineView {

@@ -4,7 +4,7 @@
 
 use dbsvec_core::{Dbsvec, DbsvecConfig};
 use dbsvec_datasets::gaussian_mixture;
-use dbsvec_engine::{Assignment, Engine, IngestOutcome, ModelArtifact};
+use dbsvec_engine::{Assignment, Engine, EngineMetrics, IngestOutcome, ModelArtifact};
 use dbsvec_geometry::{squared_euclidean, PointSet};
 
 fn fitted(seed: u64) -> (PointSet, dbsvec_core::DbsvecResult, f64, u32) {
@@ -70,9 +70,10 @@ fn batch_fan_out_agrees_with_brute_force() {
     let expected: Vec<Assignment> = (0..points.len())
         .map(|i| brute_force(&artifact, points.point(i as u32)))
         .collect();
+    let rows: Vec<&[f64]> = points.iter().map(|(_, p)| p).collect();
     for threads in [1, 2, 4] {
         assert_eq!(
-            engine.assign_batch(&points, threads),
+            engine.assign_many(&rows, threads, &mut EngineMetrics::new()),
             expected,
             "{threads} threads"
         );

@@ -3,10 +3,10 @@
 //! Everything here is `std`-only, in the spirit of the workspace's
 //! hand-rolled JSON and Prometheus exposition: [`http`] parses and frames
 //! HTTP/1.1 by hand with typed errors, [`router`] owns the sharded
-//! multi-model state (per-shard `Mutex<Engine>` + metrics + optional
-//! quality monitor), [`server`] runs the bounded thread pool with
-//! graceful, snapshot-persisting shutdown, and [`trace`] keeps the
-//! tail-sampling flight recorder behind `GET /debug/requests`.
+//! multi-model state (per-shard `Mutex<Engine>` + metrics; the engine
+//! owns the optional quality monitor), [`server`] runs the bounded
+//! thread pool with graceful, snapshot-persisting shutdown, and [`trace`]
+//! keeps the tail-sampling flight recorder behind `GET /debug/requests`.
 //!
 //! ```no_run
 //! use std::sync::Arc;

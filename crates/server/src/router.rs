@@ -1,9 +1,13 @@
 //! The routing core: models → shards → per-shard engines.
 //!
 //! A [`Router`] owns one [`ModelEntry`] per served model; each entry owns
-//! N [`Shard`]s, each a `Mutex` around an [`Engine`] plus its
-//! [`EngineMetrics`] and an optional [`QualityMonitor`]. Two routing
-//! modes compose:
+//! N [`Shard`]s, each a `Mutex` around an [`Engine`] (which owns its
+//! quality monitor, when the model is served with one) plus its
+//! [`EngineMetrics`]. A shard's rows of an assign request go through one
+//! [`Engine::assign_many`] call, which times every row into the shard's
+//! metrics; ingest and remove requests call [`Engine::ingest`] /
+//! [`Engine::remove`] per row and time each call. Two routing modes
+//! compose:
 //!
 //! * **Name-based** (multi-model): the `{name}` path segment picks the
 //!   entry.
@@ -22,11 +26,11 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use dbsvec_engine::{
-    snapshot, Assignment, Engine, EngineMetrics, EngineStats, HealthSnapshot, IngestOutcome,
-    ModelArtifact, MonitorConfig, QualityMonitor, RemoveOutcome, SnapshotError,
+    snapshot, Assignment, Engine, EngineConfig, EngineMetrics, EngineStats, HealthSnapshot,
+    IngestOutcome, ModelArtifact, MonitorConfig, RemoveOutcome, SnapshotError,
 };
 use dbsvec_obs::telemetry::render_prometheus;
-use dbsvec_obs::{Json, NoopObserver};
+use dbsvec_obs::Json;
 
 use crate::http::HttpError;
 
@@ -45,11 +49,28 @@ fn micros(d: std::time::Duration) -> u64 {
     d.as_micros() as u64
 }
 
+/// Folds one shard's health into a model- or router-wide aggregate:
+/// counts sum, staleness takes the worst shard, refit evidence ORs.
+fn fold_health(agg: Option<HealthSnapshot>, h: HealthSnapshot) -> Option<HealthSnapshot> {
+    Some(match agg {
+        None => h,
+        Some(mut a) => {
+            a.staleness = a.staleness.max(h.staleness);
+            a.refit_recommended = a.refit_recommended || h.refit_recommended;
+            a.core_points += h.core_points;
+            a.tail_length += h.tail_length;
+            a.clusters += h.clusters;
+            a.buffered_points += h.buffered_points;
+            a.tree_rebuilds += h.tree_rebuilds;
+            a
+        }
+    })
+}
+
 /// One shard: an engine plus its per-shard telemetry.
 pub struct Shard {
     engine: Engine,
     metrics: EngineMetrics,
-    monitor: Option<QualityMonitor>,
     /// State-changing ingests since the last persist (duplicates do not
     /// count — they change nothing worth snapshotting).
     mutations: u64,
@@ -213,8 +234,8 @@ impl Router {
     }
 
     /// Adds a model from an already-decoded artifact, building `shards`
-    /// independent engines over it. `monitor` attaches a fresh
-    /// [`QualityMonitor`] to every shard.
+    /// independent engines over it. `monitor` gives every shard's engine
+    /// its own quality monitor ([`EngineConfig::monitor`]).
     pub fn add_model(
         &mut self,
         name: impl Into<String>,
@@ -225,14 +246,15 @@ impl Router {
     ) {
         let shards = shards.max(1);
         let name = name.into();
+        let config = EngineConfig {
+            monitor,
+            ..EngineConfig::default()
+        };
         let entries = (0..shards)
             .map(|_| {
-                let engine = Engine::new(artifact);
-                let monitor = monitor.map(|cfg| engine.monitor(cfg));
                 Mutex::new(Shard {
-                    engine,
+                    engine: Engine::with_config(artifact, config),
                     metrics: EngineMetrics::new(),
-                    monitor,
                     mutations: 0,
                     snapshot_writes: 0,
                     snapshot_loads: 1,
@@ -310,24 +332,10 @@ impl Router {
             cost.lock_us += micros(lock_start.elapsed());
             let engine_start = std::time::Instant::now();
             let shard = &mut *shard;
-            if let Some(monitor) = shard.monitor.as_mut() {
-                // Monitored assigns are sequential by design (the monitor
-                // is windowed `&mut` state), and metered by hand.
-                for &i in group {
-                    let start = std::time::Instant::now();
-                    let a =
-                        shard
-                            .engine
-                            .assign_monitored(&parsed.rows[i], monitor, &mut NoopObserver);
-                    shard.metrics.record_assign(start.elapsed());
-                    answers[i] = Some(a);
-                }
-            } else {
-                let rows: Vec<&[f64]> = group.iter().map(|&i| parsed.rows[i].as_slice()).collect();
-                let got = shard.engine.assign_many(&rows, 1, &mut shard.metrics);
-                for (&i, a) in group.iter().zip(got) {
-                    answers[i] = Some(a);
-                }
+            let rows: Vec<&[f64]> = group.iter().map(|&i| parsed.rows[i].as_slice()).collect();
+            let got = shard.engine.assign_many(&rows, 1, &mut shard.metrics);
+            for (&i, a) in group.iter().zip(got) {
+                answers[i] = Some(a);
             }
             cost.engine_us += micros(engine_start.elapsed());
         }
@@ -388,14 +396,7 @@ impl Router {
             let shard = &mut *shard;
             for &i in group {
                 let start = std::time::Instant::now();
-                let out = match shard.monitor.as_mut() {
-                    Some(monitor) => {
-                        shard
-                            .engine
-                            .ingest_monitored(&parsed.rows[i], monitor, &mut NoopObserver)
-                    }
-                    None => shard.engine.ingest(&parsed.rows[i]),
-                };
+                let out = shard.engine.ingest(&parsed.rows[i]);
                 shard.metrics.record_ingest(start.elapsed());
                 if !matches!(out, IngestOutcome::Duplicate) {
                     shard.mutations += 1;
@@ -462,9 +463,10 @@ impl Router {
             cost.lock_us += micros(lock_start.elapsed());
             let engine_start = std::time::Instant::now();
             let shard = &mut *shard;
-            let rows: Vec<&[f64]> = group.iter().map(|&i| parsed.rows[i].as_slice()).collect();
-            let got = shard.engine.remove_many(&rows, &mut shard.metrics);
-            for (&i, out) in group.iter().zip(got) {
+            for &i in group {
+                let start = std::time::Instant::now();
+                let out = shard.engine.remove(&parsed.rows[i]);
+                shard.metrics.record_remove(start.elapsed(), out);
                 if !matches!(out, RemoveOutcome::NotFound) {
                     shard.mutations += 1;
                 }
@@ -537,24 +539,8 @@ impl Router {
         let mut dirty = 0u64;
         for shard in &entry.shards {
             let shard = shard.lock().unwrap();
-            let h = match shard.monitor.as_ref() {
-                Some(m) => shard.engine.health_with(m),
-                None => shard.engine.health(),
-            };
             dirty += shard.dirty() as u64;
-            agg = Some(match agg {
-                None => h,
-                Some(mut a) => {
-                    a.staleness = a.staleness.max(h.staleness);
-                    a.refit_recommended = a.refit_recommended || h.refit_recommended;
-                    a.core_points += h.core_points;
-                    a.tail_length += h.tail_length;
-                    a.clusters += h.clusters;
-                    a.buffered_points += h.buffered_points;
-                    a.tree_rebuilds += h.tree_rebuilds;
-                    a
-                }
-            });
+            agg = fold_health(agg, shard.engine.health());
         }
         let h = agg.expect("a model always has at least one shard");
         let mut fields = vec![
@@ -577,15 +563,15 @@ impl Router {
     /// Builds the aggregate metrics registry across every shard of every
     /// model: counters from summed [`EngineStats`], gauges from folded
     /// health, per-call latency histograms merged shard by shard. When the
-    /// router serves exactly one monitored shard, the monitor's drift
-    /// gauges ride along too.
+    /// router serves exactly one shard, its monitor's drift gauges ride
+    /// along too.
     pub fn aggregate_metrics(&self) -> EngineMetrics {
         let mut agg = EngineMetrics::new();
         let mut stats = EngineStats::default();
         let mut health: Option<HealthSnapshot> = None;
         let mut writes = 0u64;
         let mut loads = 0u64;
-        let single_monitored = self.models.len() == 1 && self.models[0].shards.len() == 1;
+        let single_shard = self.models.len() == 1 && self.models[0].shards.len() == 1;
         for entry in &self.models {
             for shard in &entry.shards {
                 let shard = shard.lock().unwrap();
@@ -602,36 +588,21 @@ impl Router {
                 stats.demotions += s.demotions;
                 stats.splits += s.splits;
                 stats.tree_rebuilds += s.tree_rebuilds;
-                let h = shard.engine.health();
-                health = Some(match health {
-                    None => h,
-                    Some(mut a) => {
-                        a.staleness = a.staleness.max(h.staleness);
-                        a.refit_recommended = a.refit_recommended || h.refit_recommended;
-                        a.core_points += h.core_points;
-                        a.tail_length += h.tail_length;
-                        a.clusters += h.clusters;
-                        a.buffered_points += h.buffered_points;
-                        a.tree_rebuilds += h.tree_rebuilds;
-                        a
-                    }
-                });
+                health = fold_health(health, shard.engine.health());
                 writes += shard.snapshot_writes;
                 loads += shard.snapshot_loads;
                 agg.merge_assign_latencies(shard.metrics.assign_latency().histogram());
                 agg.merge_ingest_latencies(shard.metrics.ingest_latency().histogram());
                 agg.merge_remove_latencies(shard.metrics.remove_latency().histogram());
                 agg.merge_split_latencies(shard.metrics.split_latency().histogram());
-                if single_monitored {
-                    if let Some(monitor) = shard.monitor.as_ref() {
-                        agg.refresh_with_monitor(&shard.engine, monitor);
-                    }
+                if single_shard {
+                    // Publishes the monitor's state; the stats and health
+                    // it also writes equal the aggregate written below.
+                    agg.refresh(&shard.engine);
                 }
             }
         }
         if let Some(h) = health {
-            // refresh_with_monitor above already wrote the single-shard
-            // view; the overwrite below is identical for that case.
             agg.refresh_from_parts(&stats, &h);
         }
         agg.set_snapshot_counts(writes, loads);

@@ -8,7 +8,7 @@
 //! kernel-cache counters) must match callback for callback, so a trace
 //! captured from a parallel run replays exactly like a sequential one.
 
-use dbsvec::engine::{snapshot, Engine, ModelArtifact};
+use dbsvec::engine::{snapshot, Engine, EngineMetrics, ModelArtifact};
 use dbsvec::geometry::rng::SplitMix64;
 use dbsvec::obs::{Event, Phase, Record, RecordingObserver};
 use dbsvec::{Dbsvec, DbsvecConfig, PointSet};
@@ -180,7 +180,13 @@ fn insert_delete_interleavings_are_bit_identical_across_threads_and_restarts() {
                         queries
                             .push(&[rng.next_f64_range(-1.0, 9.0), rng.next_f64_range(-1.0, 3.0)]);
                     }
-                    engine.assign_batch_observed(&queries, threads, &mut recorder);
+                    let rows: Vec<&[f64]> = queries.iter().map(|(_, q)| q).collect();
+                    engine.assign_many_observed(
+                        &rows,
+                        threads,
+                        &mut EngineMetrics::new(),
+                        &mut recorder,
+                    );
                 }
             }
         }

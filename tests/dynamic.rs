@@ -19,7 +19,9 @@
 
 use std::collections::{HashMap, HashSet};
 
-use dbsvec::engine::{Assignment, Engine, IngestOutcome, ModelArtifact, RemoveOutcome};
+use dbsvec::engine::{
+    Assignment, Engine, EngineMetrics, IngestOutcome, ModelArtifact, RemoveOutcome,
+};
 use dbsvec::geometry::squared_euclidean;
 use dbsvec::obs::RecordingObserver;
 use dbsvec::PointSet;
@@ -318,7 +320,8 @@ fn run_sequence(s: &Scenario, seed: u64, ops: usize) {
                 }
                 let fwd = check_state(&engine, &live, eps_sq, s.min_pts, &tag);
                 let o = oracle(&live, eps_sq, s.min_pts);
-                let answers = engine.assign_batch(&queries, test_threads());
+                let rows: Vec<&[f64]> = queries.iter().map(|(_, q)| q).collect();
+                let answers = engine.assign_many(&rows, test_threads(), &mut EngineMetrics::new());
                 for (qi, q) in queries.iter() {
                     // Components of the nearest cores within ε (several
                     // on an exact distance tie).

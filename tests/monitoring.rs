@@ -1,14 +1,15 @@
 //! End-to-end quality monitoring through the facade: the fit-time quality
 //! baseline must survive the snapshot round trip, a monitored engine must
 //! separate drifted traffic from stationary traffic, its window/alert
-//! events must replay from a JSONL trace to the exact live counts, and a
+//! events must replay from a JSONL trace to the exact live counts, a
+//! threaded batch must window exactly like a per-query loop, and a
 //! baseline-less (v1-era) model must degrade gracefully instead of
 //! alerting on signals it cannot compute.
 
 use dbsvec::datasets::{gaussian_mixture, standins::suggest_eps};
-use dbsvec::engine::{snapshot, Engine, ModelArtifact, MonitorConfig};
+use dbsvec::engine::{snapshot, Engine, EngineConfig, EngineMetrics, ModelArtifact, MonitorConfig};
 use dbsvec::geometry::rng::SplitMix64;
-use dbsvec::obs::{JsonlSink, NoopObserver, RecordingObserver, ReplayCounts, Tee};
+use dbsvec::obs::{Event, JsonlSink, RecordingObserver, ReplayCounts, Tee};
 use dbsvec::{Dbsvec, DbsvecConfig, PointSet};
 
 const DIMS: usize = 4;
@@ -53,13 +54,14 @@ fn monitored_serving_separates_drift_and_replays_from_the_trace() {
     let (points, eps, artifact) = fitted_model(17);
 
     // ---- Stationary traffic: jittered training points stay quiet.
-    let mut engine = Engine::new(&artifact);
-    let mut monitor = engine.monitor(MonitorConfig::new().with_window(WINDOW));
-    assert!(monitor.has_baseline());
+    let config = EngineConfig::new().with_monitor(MonitorConfig::new().with_window(WINDOW));
+    let mut engine = Engine::with_config(&artifact, config);
+    assert!(engine.monitor().unwrap().has_baseline());
     let stationary = shifted_stream(&points, eps, 0.0, 0x57a7);
     for (_, p) in stationary.iter() {
-        engine.assign_monitored(p, &mut monitor, &mut NoopObserver);
+        engine.assign(p);
     }
+    let monitor = engine.monitor().unwrap();
     let expected_windows = (points.len() / WINDOW) as u64;
     assert_eq!(monitor.windows_completed(), expected_windows);
     assert_eq!(
@@ -68,7 +70,7 @@ fn monitored_serving_separates_drift_and_replays_from_the_trace() {
         "in-distribution traffic must not alert"
     );
     assert!(!monitor.drift_exceeded());
-    let health = engine.health_with(&monitor);
+    let health = engine.health();
     assert!(!health.refit_recommended, "fresh model, fresh traffic");
     let signals = health.drift.expect("windows completed, so signals exist");
     assert!(
@@ -79,18 +81,18 @@ fn monitored_serving_separates_drift_and_replays_from_the_trace() {
 
     // ---- Drifted traffic: a 3-eps-per-coordinate population shift must
     // alert, and every window/alert event must replay from the trace.
-    let mut engine = Engine::new(&artifact);
-    let mut monitor = engine.monitor(MonitorConfig::new().with_window(WINDOW));
+    let mut engine = Engine::with_config(&artifact, config);
     let mut recorder = RecordingObserver::new();
     let mut sink = JsonlSink::new(Vec::new());
     let drifted = shifted_stream(&points, eps, 3.0, 0x57a7);
     for (_, p) in drifted.iter() {
-        engine.assign_monitored(p, &mut monitor, &mut Tee(&mut recorder, &mut sink));
+        engine.assign_observed(p, &mut Tee(&mut recorder, &mut sink));
     }
+    let monitor = engine.monitor().unwrap();
     assert_eq!(monitor.windows_completed(), expected_windows);
     assert!(monitor.alerts() > 0, "a population shift must raise alerts");
     assert!(monitor.drift_exceeded());
-    let health = engine.health_with(&monitor);
+    let health = engine.health();
     assert!(
         health.refit_recommended,
         "drift alone must recommend a refit even with zero staleness"
@@ -116,13 +118,14 @@ fn baseline_less_model_monitors_in_degraded_mode() {
         .expect("valid fit");
     assert!(artifact.quality.is_none());
 
-    let mut engine = Engine::new(&artifact);
-    let mut monitor = engine.monitor(MonitorConfig::new().with_window(WINDOW));
-    assert!(!monitor.has_baseline());
+    let config = EngineConfig::new().with_monitor(MonitorConfig::new().with_window(WINDOW));
+    let mut engine = Engine::with_config(&artifact, config);
+    assert!(!engine.monitor().unwrap().has_baseline());
     let drifted = shifted_stream(&ds.points, eps, 3.0, 0xdead);
     for (_, p) in drifted.iter() {
-        engine.assign_monitored(p, &mut monitor, &mut NoopObserver);
+        engine.assign(p);
     }
+    let monitor = engine.monitor().unwrap();
     assert_eq!(
         monitor.windows_completed(),
         (ds.points.len() / WINDOW) as u64
@@ -130,7 +133,57 @@ fn baseline_less_model_monitors_in_degraded_mode() {
     assert_eq!(monitor.alerts(), 0, "no baseline, no drift evidence");
     assert!(!monitor.drift_exceeded());
     assert!(monitor.signals().is_none());
-    let health = engine.health_with(&monitor);
+    let health = engine.health();
     assert!(health.drift.is_none());
     assert!(!health.refit_recommended);
+}
+
+#[test]
+fn threaded_monitored_batches_window_like_a_per_query_loop() {
+    // Parts of 1,024 rows: at 2 and 4 threads the first part fans out
+    // over every worker (256 queries each at least), and the windows of
+    // 100 straddle the part boundary.
+    const PART: usize = 1_024;
+    assert_eq!(Engine::fan_out_width(PART, 4), 4);
+    let (points, eps, artifact) = fitted_model(17);
+    let drifted = shifted_stream(&points, eps, 3.0, 0x57a7);
+    assert_eq!(drifted.len(), 1_500);
+    let config = EngineConfig::new().with_monitor(MonitorConfig::new().with_window(WINDOW));
+
+    let mut engine = Engine::with_config(&artifact, config);
+    let mut expected = RecordingObserver::new();
+    let expected_labels: Vec<_> = drifted
+        .iter()
+        .map(|(_, p)| engine.assign_observed(p, &mut expected))
+        .collect();
+    let monitor = engine.monitor().unwrap();
+    let expected_signals = monitor.signals().expect("windows completed");
+    let expected_windows = monitor.windows_completed();
+    let expected_alerts = monitor.alerts();
+    assert_eq!(expected_windows, 15);
+    assert!(expected_alerts > 0, "the shift must raise alerts");
+    let expected_events: Vec<Event> = expected.events().cloned().collect();
+
+    let rows: Vec<&[f64]> = drifted.iter().map(|(_, p)| p).collect();
+    for threads in [1, 2, 4] {
+        let mut engine = Engine::with_config(&artifact, config);
+        let mut metrics = EngineMetrics::new();
+        let mut recorder = RecordingObserver::new();
+        let mut labels = Vec::new();
+        for part in rows.chunks(PART) {
+            labels.extend(engine.assign_many_observed(part, threads, &mut metrics, &mut recorder));
+        }
+        assert_eq!(labels, expected_labels, "{threads} threads");
+        let events: Vec<Event> = recorder.events().cloned().collect();
+        assert_eq!(events, expected_events, "{threads} threads");
+        let monitor = engine.monitor().unwrap();
+        assert_eq!(
+            monitor.signals(),
+            Some(expected_signals),
+            "{threads} threads"
+        );
+        assert_eq!(monitor.windows_completed(), expected_windows);
+        assert_eq!(monitor.alerts(), expected_alerts);
+        assert_eq!(metrics.assign_latency().histogram().count(), 1_500);
+    }
 }

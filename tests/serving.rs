@@ -4,7 +4,9 @@
 //! serving correctly after online ingest.
 
 use dbsvec::datasets::{gaussian_mixture, standins::suggest_eps, two_moons};
-use dbsvec::engine::{snapshot, Assignment, Engine, ModelArtifact, SampledMode, SamplingInfo};
+use dbsvec::engine::{
+    snapshot, Assignment, Engine, EngineMetrics, ModelArtifact, SampledMode, SamplingInfo,
+};
 use dbsvec::geometry::squared_euclidean;
 use dbsvec::{Dbsvec, DbsvecConfig};
 
@@ -26,7 +28,8 @@ fn fit_save_serve_reproduces(points: &dbsvec::PointSet, eps: f64, min_pts: usize
     std::fs::remove_dir_all(&dir).ok();
 
     let mut engine = Engine::new(&restored);
-    let served = engine.assign_batch(points, 2);
+    let rows: Vec<&[f64]> = points.iter().map(|(_, p)| p).collect();
+    let served = engine.assign_many(&rows, 2, &mut EngineMetrics::new());
     let eps_sq = eps * eps;
     let core_set: std::collections::HashSet<u32> = fit.core_points().iter().copied().collect();
 
@@ -131,7 +134,8 @@ fn sampled_fit_save_assign_round_trip_keeps_labels_and_provenance() {
     // Serving is transparent to sampling: every training point lands on
     // the label of some reachable core (cores only exist among candidates
     // and promoted neighbors, but the assignment rule is unchanged).
-    let served = engine.assign_batch(&ds.points, 2);
+    let rows: Vec<&[f64]> = ds.points.iter().map(|(_, p)| p).collect();
+    let served = engine.assign_many(&rows, 2, &mut EngineMetrics::new());
     let eps_sq = eps * eps;
     for (i, p) in ds.points.iter() {
         let fitted = fit.labels().get(i as usize);
