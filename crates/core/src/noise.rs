@@ -6,14 +6,15 @@
 //! is what makes Theorems 2 and 3 (border/noise equivalence with DBSCAN)
 //! hold: every potential noise point either has a core point in its
 //! ε-neighborhood — then it is a border point and joins the cluster of its
-//! *nearest* core neighbor — or it is confirmed as noise.
+//! *nearest* core neighbor, the smaller point id among equidistant ones
+//! ([`dbsvec_index::nearer`]) — or it is confirmed as noise.
 //!
 //! The neighborhoods were captured during initialization (they hold fewer
 //! than MinPts points each), so this pass issues at most `MinPts·l`
 //! memoized core tests, matching the §III-D cost model.
 
 use dbsvec_geometry::{PointId, PointSet};
-use dbsvec_index::{KdTree, RangeIndex};
+use dbsvec_index::{nearer, KdTree, RangeIndex};
 use dbsvec_obs::{Event, Phase};
 
 use crate::parallel::batch_nearest_cores;
@@ -32,7 +33,8 @@ pub(crate) fn verify_noise<I: RangeIndex>(state: &mut RunState<'_, I>) {
             // Absorbed into a cluster by a later expansion: a border point.
             continue;
         }
-        let mut nearest: Option<(f64, u32)> = None;
+        // (squared distance, core id, cluster) of the nearest core.
+        let mut nearest: Option<(f64, PointId, u32)> = None;
         for &j in neighborhood {
             if j == *i {
                 continue;
@@ -47,12 +49,12 @@ pub(crate) fn verify_noise<I: RangeIndex>(state: &mut RunState<'_, I>) {
                 continue;
             }
             let d = state.points.squared_distance(*i, j);
-            if nearest.map_or(true, |(best, _)| d < best) {
-                nearest = Some((d, cid));
+            if nearest.map_or(true, |(bd, bj, _)| nearer((d, j), (bd, bj))) {
+                nearest = Some((d, j, cid));
             }
         }
 
-        if let Some((_, cid)) = nearest {
+        if let Some((_, _, cid)) = nearest {
             state.labels.set_cluster(*i, cid);
         }
         state.emit(Event::NoiseVerdict {
@@ -103,7 +105,6 @@ fn attach_unsampled<I: RangeIndex>(state: &mut RunState<'_, I>) {
         let tree = KdTree::build(&cores);
         batch_nearest_cores(
             state.points,
-            &cores,
             &tree,
             &core_cids,
             state.config.eps,

@@ -10,74 +10,40 @@
 //! a round holds a handful of probes, too few to pay for a spawn.
 
 use dbsvec_geometry::{PointId, PointSet};
-use dbsvec_index::{KdTree, RangeIndex};
-
-/// Nearest discovered core within ε for one probe point: the raw working
-/// cluster id of the closest entry of `cores`, ties broken toward the
-/// core the kd-tree reports first (a fixed order — the tree is built once
-/// on the driving thread). A pure function of immutable inputs, so the
-/// batched fan-out below is bit-deterministic at every thread count.
-fn nearest_core_cid(
-    probe: &[f64],
-    cores: &PointSet,
-    tree: &KdTree,
-    core_cids: &[u32],
-    eps: f64,
-    hits: &mut Vec<PointId>,
-) -> Option<u32> {
-    hits.clear();
-    tree.range(probe, eps, hits);
-    hits.iter()
-        .map(|&c| (cores.squared_distance_to(c, probe), core_cids[c as usize]))
-        .min_by(|a, b| a.0.partial_cmp(&b.0).expect("NaN distance"))
-        .map(|(_, cid)| cid)
-}
+use dbsvec_index::KdTree;
 
 /// Resolves the nearest-core-within-ε rule for every probe, fanning the
 /// lookups out across at most `threads` scoped worker threads against a
 /// kd-tree over the discovered cores. `result[i]` is the raw cluster id
-/// `probes[i]` attaches to, or `None` when no core lies within ε.
+/// `probes[i]` attaches to — of the closest core, equidistant cores
+/// resolved to the smaller core index ([`KdTree::nearest_within`]) — or
+/// `None` when no core lies within ε.
 ///
 /// `threads <= 1` or a batch of fewer than two probes stays on the calling
 /// thread.
 pub(crate) fn batch_nearest_cores(
     points: &PointSet,
-    cores: &PointSet,
     tree: &KdTree,
     core_cids: &[u32],
     eps: f64,
     probes: &[PointId],
     threads: usize,
 ) -> Vec<Option<u32>> {
+    // A pure function of immutable inputs, so the fan-out below is
+    // bit-deterministic at every thread count.
+    let lookup = |&id: &PointId| {
+        tree.nearest_within(points.point(id), eps, |_| true)
+            .map(|(_, c)| core_cids[c as usize])
+    };
     if threads <= 1 || probes.len() < 2 {
-        let mut hits = Vec::new();
-        return probes
-            .iter()
-            .map(|&id| nearest_core_cid(points.point(id), cores, tree, core_cids, eps, &mut hits))
-            .collect();
+        return probes.iter().map(lookup).collect();
     }
     let workers = threads.min(probes.len());
     let chunk = probes.len().div_ceil(workers);
     std::thread::scope(|scope| {
         let handles: Vec<_> = probes
             .chunks(chunk)
-            .map(|part| {
-                scope.spawn(move || {
-                    let mut hits = Vec::new();
-                    part.iter()
-                        .map(|&id| {
-                            nearest_core_cid(
-                                points.point(id),
-                                cores,
-                                tree,
-                                core_cids,
-                                eps,
-                                &mut hits,
-                            )
-                        })
-                        .collect::<Vec<Option<u32>>>()
-                })
-            })
+            .map(|part| scope.spawn(move || part.iter().map(lookup).collect::<Vec<_>>()))
             .collect();
         let mut merged = Vec::with_capacity(probes.len());
         for handle in handles {
@@ -111,10 +77,10 @@ mod tests {
         }
         let tree = KdTree::build(&cores);
         let probes: Vec<PointId> = (0..ps.len() as PointId).collect();
-        let want = batch_nearest_cores(&ps, &cores, &tree, &cids, 1.2, &probes, 1);
+        let want = batch_nearest_cores(&ps, &tree, &cids, 1.2, &probes, 1);
         assert!(want.iter().any(Option::is_some));
         for threads in [2, 3, 8, 64] {
-            let got = batch_nearest_cores(&ps, &cores, &tree, &cids, 1.2, &probes, threads);
+            let got = batch_nearest_cores(&ps, &tree, &cids, 1.2, &probes, threads);
             assert_eq!(got, want, "threads={threads}");
         }
     }
@@ -124,7 +90,23 @@ mod tests {
         let cores = PointSet::from_rows(&[vec![0.0, 0.0], vec![10.0, 0.0]]);
         let tree = KdTree::build(&cores);
         let ps = PointSet::from_rows(&[vec![4.0, 0.0], vec![6.0, 0.0], vec![50.0, 0.0]]);
-        let got = batch_nearest_cores(&ps, &cores, &tree, &[7, 9], 8.0, &[0, 1, 2], 1);
+        let got = batch_nearest_cores(&ps, &tree, &[7, 9], 8.0, &[0, 1, 2], 1);
         assert_eq!(got, vec![Some(7), Some(9), None]);
+    }
+
+    #[test]
+    fn equidistant_cores_resolve_to_the_smaller_core_index() {
+        // Cores 22..=41 (cluster 1) listed before 0..=19 (cluster 0):
+        // 20.5 is exactly ε = 1.5 from 22 and from 19, and 22's cluster
+        // answers at every thread count.
+        let rows: Vec<Vec<f64>> = (22..42).chain(0..20).map(|x| vec![x as f64]).collect();
+        let cores = PointSet::from_rows(&rows);
+        let cids: Vec<u32> = (0..40).map(|i| u32::from(i < 20)).collect();
+        let tree = KdTree::build(&cores);
+        let ps = PointSet::from_rows(&[vec![20.5], vec![20.5]]);
+        for threads in [1, 2] {
+            let got = batch_nearest_cores(&ps, &tree, &cids, 1.5, &[0, 1], threads);
+            assert_eq!(got, vec![Some(1), Some(1)], "threads={threads}");
+        }
     }
 }

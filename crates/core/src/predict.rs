@@ -5,12 +5,15 @@
 //! of it, and is noise otherwise — the same rule DBSVEC's noise
 //! verification applies to borderline training points. [`ClusterModel`]
 //! captures the core points of a finished run so that streaming points can
-//! be classified without re-clustering.
+//! be classified without re-clustering. It holds one kd-tree over its
+//! cores, built once, and answers every query with the tree's bounded
+//! nearest-neighbour search, so ties between equidistant cores go to the
+//! smaller core index whichever entry point asks.
 
 use std::fmt;
 
 use dbsvec_geometry::{PointId, PointSet};
-use dbsvec_index::{KdTree, RangeIndex};
+use dbsvec_index::{OwnedKdTree, RangeIndex};
 
 use crate::labels::Clustering;
 
@@ -76,10 +79,10 @@ impl std::error::Error for ModelError {}
 /// the core points and their cluster ids.
 #[derive(Clone, Debug)]
 pub struct ClusterModel {
-    /// Coordinates of the core points (owned — the model outlives the
+    /// A kd-tree owning the core coordinates (the model outlives the
     /// training set).
-    cores: PointSet,
-    /// Cluster id of each core point, aligned with `cores`.
+    cores: OwnedKdTree,
+    /// Cluster id of each core point, aligned with the tree's points.
     core_labels: Vec<u32>,
     /// The ε the clustering was fitted with.
     eps: f64,
@@ -100,6 +103,24 @@ impl ClusterModel {
         core_ids: &[PointId],
         eps: f64,
     ) -> Result<Self, ModelError> {
+        let (cores, core_labels) = Self::core_parts(points, clustering, core_ids, eps)?;
+        Ok(Self {
+            cores: OwnedKdTree::build(cores),
+            core_labels,
+            eps,
+            num_clusters: clustering.num_clusters(),
+        })
+    }
+
+    /// The core coordinates and their labels that [`ClusterModel::new`]
+    /// indexes, validated the same way, without building the model's
+    /// kd-tree (for callers that only persist them).
+    pub fn core_parts(
+        points: &PointSet,
+        clustering: &Clustering,
+        core_ids: &[PointId],
+        eps: f64,
+    ) -> Result<(PointSet, Vec<u32>), ModelError> {
         if !(eps.is_finite() && eps > 0.0) {
             return Err(ModelError::BadEps(eps));
         }
@@ -118,12 +139,7 @@ impl ClusterModel {
             cores.push(points.point(id));
             core_labels.push(label);
         }
-        Ok(Self {
-            cores,
-            core_labels,
-            eps,
-            num_clusters: clustering.num_clusters(),
-        })
+        Ok((cores, core_labels))
     }
 
     /// Rebuilds a model from its stored parts (the snapshot-load path).
@@ -153,7 +169,7 @@ impl ClusterModel {
             });
         }
         Ok(Self {
-            cores,
+            cores: OwnedKdTree::build(cores),
             core_labels,
             eps,
             num_clusters,
@@ -167,7 +183,7 @@ impl ClusterModel {
 
     /// The retained core points.
     pub fn cores(&self) -> &PointSet {
-        &self.cores
+        self.cores.points()
     }
 
     /// Cluster id of each core point, aligned with [`ClusterModel::cores`].
@@ -186,53 +202,31 @@ impl ClusterModel {
     }
 
     /// Classifies one observation: the cluster of the nearest core point
-    /// within ε, or `None` (noise/outlier).
+    /// within ε, or `None` (noise/outlier). Equidistant cores resolve to
+    /// the one listed first ([`dbsvec_index::nearer`]).
     ///
     /// # Panics
     ///
     /// Panics if `x` has the wrong dimensionality.
     pub fn predict(&self, x: &[f64]) -> Option<u32> {
-        assert_eq!(x.len(), self.cores.dims(), "query dimensionality mismatch");
-        let eps_sq = self.eps * self.eps;
-        let mut best: Option<(f64, u32)> = None;
-        for (i, core) in self.cores.iter() {
-            let d = dbsvec_geometry::squared_euclidean(core, x);
-            if d <= eps_sq && best.map_or(true, |(bd, _)| d < bd) {
-                best = Some((d, self.core_labels[i as usize]));
-            }
-        }
-        best.map(|(_, label)| label)
+        assert_eq!(
+            x.len(),
+            self.cores().dims(),
+            "query dimensionality mismatch"
+        );
+        self.cores
+            .nearest_within(x, self.eps, |_| true)
+            .map(|(_, id)| self.core_labels[id as usize])
     }
 
-    /// Classifies a batch, using a kd-tree over the core points when the
-    /// batch is large enough to amortize the build.
+    /// Classifies a batch: [`ClusterModel::predict`] for every query.
     pub fn predict_batch(&self, queries: &PointSet) -> Vec<Option<u32>> {
         assert_eq!(
             queries.dims(),
-            self.cores.dims(),
+            self.cores().dims(),
             "query dimensionality mismatch"
         );
-        if queries.len() * self.core_count() < 10_000 {
-            return queries.iter().map(|(_, q)| self.predict(q)).collect();
-        }
-        let tree = KdTree::build(&self.cores);
-        let mut hits: Vec<PointId> = Vec::new();
-        queries
-            .iter()
-            .map(|(_, q)| {
-                hits.clear();
-                tree.range(q, self.eps, &mut hits);
-                hits.iter()
-                    .map(|&c| {
-                        (
-                            self.cores.squared_distance_to(c, q),
-                            self.core_labels[c as usize],
-                        )
-                    })
-                    .min_by(|a, b| a.0.partial_cmp(&b.0).expect("NaN distance"))
-                    .map(|(_, label)| label)
-            })
-            .collect()
+        queries.iter().map(|(_, q)| self.predict(q)).collect()
     }
 }
 
@@ -296,6 +290,19 @@ mod tests {
         let model = ClusterModel::new(&ps, &clustering, &[0, 1], 8.0).unwrap();
         assert_eq!(model.predict(&[6.5]), Some(1));
         assert_eq!(model.predict(&[3.0]), Some(0));
+    }
+
+    #[test]
+    fn equidistant_cores_resolve_to_the_one_listed_first() {
+        // Cores 0..=19 (cluster 0) and 22..=41 (cluster 1), cluster 1
+        // listed first: 20.5 is exactly ε = 1.5 from 19 and from 22, and
+        // the smallest core index among them (22's) answers.
+        let rows: Vec<Vec<f64>> = (22..42).chain(0..20).map(|x| vec![x as f64]).collect();
+        let labels = (0..40).map(|i| u32::from(i < 20)).collect();
+        let model = ClusterModel::from_parts(PointSet::from_rows(&rows), labels, 1.5, 2).unwrap();
+        assert_eq!(model.predict(&[20.5]), Some(1));
+        let queries = PointSet::from_rows(&vec![vec![20.5]; 300]);
+        assert!(model.predict_batch(&queries).iter().all(|&l| l == Some(1)));
     }
 
     #[test]

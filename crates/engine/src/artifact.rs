@@ -10,7 +10,7 @@
 use dbsvec_core::labels::Clustering;
 use dbsvec_core::{ClusterModel, ModelError};
 use dbsvec_geometry::{PointId, PointSet};
-use dbsvec_index::{KdTree, RangeIndex};
+use dbsvec_index::KdTree;
 use dbsvec_obs::Histogram;
 use dbsvec_svdd::{kernel_width_center_radius, optimal_nu, GaussianKernel, SvddProblem};
 
@@ -50,6 +50,12 @@ pub fn margin_ticks(margin: f64) -> u64 {
         MARGIN_CLAMP
     };
     ((m + MARGIN_CLAMP) * DIST_TICKS_PER_EPS).round() as u64
+}
+
+/// Whether two coordinate vectors are the same bit pattern, coordinate by
+/// coordinate.
+fn bit_equal(a: &[f64], b: &[f64]) -> bool {
+    a.iter().zip(b).all(|(u, v)| u.to_bits() == v.to_bits())
 }
 
 /// One cluster's SVDD description, reduced to what the decision function
@@ -276,13 +282,13 @@ impl ModelArtifact {
         eps: f64,
         min_pts: u32,
     ) -> Result<Self, ModelError> {
-        let model = ClusterModel::new(points, clustering, core_ids, eps)?;
+        let (cores, core_labels) = ClusterModel::core_parts(points, clustering, core_ids, eps)?;
         Ok(Self {
             eps,
             min_pts,
-            num_clusters: model.num_clusters() as u32,
-            cores: model.cores().clone(),
-            core_labels: model.core_labels().to_vec(),
+            num_clusters: clustering.num_clusters() as u32,
+            cores,
+            core_labels,
             boundaries: None,
             quality: None,
             sampling: None,
@@ -340,25 +346,16 @@ impl ModelArtifact {
     pub fn with_quality(mut self, points: &PointSet, clustering: &Clustering) -> Self {
         let tree = KdTree::build(&self.cores);
         let mut assign_dist = Histogram::new();
-        let mut hits: Vec<PointId> = Vec::new();
         for (_, x) in points.iter() {
-            hits.clear(); // range() appends
-            tree.range(x, self.eps, &mut hits);
-            // Nearest core other than the point itself: a core point's
-            // distance to its own entry is a degenerate 0 that serving
-            // traffic (fresh draws) never reproduces.
-            let mut best = f64::INFINITY;
-            let mut self_skipped = false;
-            for &id in &hits {
-                let d_sq = self.cores.squared_distance_to(id, x);
-                if !self_skipped && d_sq == 0.0 && self.cores.point(id) == x {
-                    self_skipped = true;
-                    continue;
-                }
-                best = best.min(d_sq);
-            }
-            if best.is_finite() {
-                assign_dist.record(distance_ticks(best.sqrt(), self.eps));
+            // Nearest core other than the point's own entry (the smallest-id
+            // core bit-equal to it): a core point's distance to itself is a
+            // degenerate 0 that serving traffic (fresh draws) never
+            // reproduces.
+            let own = tree
+                .nearest_within(x, 0.0, |id| bit_equal(self.cores.point(id), x))
+                .map(|(_, id)| id);
+            if let Some((d_sq, _)) = tree.nearest_within(x, self.eps, |id| Some(id) != own) {
+                assign_dist.record(distance_ticks(d_sq.sqrt(), self.eps));
             }
         }
 

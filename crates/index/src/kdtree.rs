@@ -15,6 +15,14 @@
 //! the query and *bulk-report* subtrees that lie entirely inside the query
 //! ball, skipping all per-point distance checks for them.
 //!
+//! The bounded nearest-neighbour search ([`KdTree::nearest_within`]) is the
+//! workspace's one answer to "nearest core within ε" — the paper's noise
+//! verification rule and the serving engine's assign rule. It visits the
+//! nearer child first and prunes every box farther than the best squared
+//! distance found so far (ε² at the start). Ties go to the smaller id
+//! ([`nearer`]), so the answer depends on the indexed points alone, never
+//! on the tree's shape or traversal order.
+//!
 //! Two wrappers share the same node layout and traversal:
 //!
 //! * [`KdTree`] borrows the [`PointSet`] it indexes — the right shape for
@@ -26,7 +34,7 @@
 use crate::traits::RangeIndex;
 use dbsvec_geometry::{BoundingBox, PointId, PointSet};
 
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 enum Node {
     Leaf {
         bbox: BoundingBox,
@@ -52,7 +60,7 @@ impl Node {
 /// The point-set-agnostic half of the tree: nodes, the leaf-permuted id
 /// array, and the traversal routines. Both tree wrappers delegate here,
 /// passing in whichever `PointSet` they hold.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 struct TreeCore {
     nodes: Vec<Node>,
     /// Point ids permuted so each leaf owns a contiguous range.
@@ -93,6 +101,64 @@ impl TreeCore {
                 }
             }
             None => 0,
+        }
+    }
+
+    fn nearest_within(
+        &self,
+        points: &PointSet,
+        query: &[f64],
+        eps: f64,
+        keep: &impl Fn(PointId) -> bool,
+    ) -> Option<(f64, PointId)> {
+        let root = self.root?;
+        let mut best = Best {
+            bound: eps * eps,
+            found: None,
+        };
+        if self.nodes[root as usize].bbox().min_squared_distance(query) <= best.bound {
+            self.nearest_recursive(points, root, query, keep, &mut best);
+        }
+        best.found
+    }
+
+    fn nearest_recursive(
+        &self,
+        points: &PointSet,
+        node: u32,
+        query: &[f64],
+        keep: &impl Fn(PointId) -> bool,
+        best: &mut Best,
+    ) {
+        match &self.nodes[node as usize] {
+            Node::Leaf { start, end, .. } => {
+                for &id in &self.ids[*start as usize..*end as usize] {
+                    if keep(id) {
+                        best.offer(points.squared_distance_to(id, query), id);
+                    }
+                }
+            }
+            Node::Inner { left, right, .. } => {
+                let dl = self.nodes[*left as usize]
+                    .bbox()
+                    .min_squared_distance(query);
+                let dr = self.nodes[*right as usize]
+                    .bbox()
+                    .min_squared_distance(query);
+                let ((near, d_near), (far, d_far)) = if dr < dl {
+                    ((*right, dr), (*left, dl))
+                } else {
+                    ((*left, dl), (*right, dr))
+                };
+                // A box exactly at the bound may still hold a tie with a
+                // smaller id, so only strictly farther boxes are pruned.
+                if d_near <= best.bound {
+                    self.nearest_recursive(points, near, query, keep, best);
+                }
+                if d_far <= best.bound {
+                    self.nearest_recursive(points, far, query, keep, best);
+                }
+            }
         }
     }
 
@@ -186,6 +252,38 @@ impl TreeCore {
     }
 }
 
+/// Whether candidate `a` answers before candidate `b`, each a (squared
+/// distance, id) pair: the strictly nearer one, or on an exact distance tie
+/// the smaller id. Every nearest-core answer in the workspace orders its
+/// candidates this way, so the answer is a function of the candidate set
+/// alone.
+#[inline]
+pub fn nearer(a: (f64, PointId), b: (f64, PointId)) -> bool {
+    a.0 < b.0 || (a.0 == b.0 && a.1 < b.1)
+}
+
+/// The running answer of a bounded nearest-neighbour search.
+struct Best {
+    /// Squared distance a candidate may not exceed: ε² until the first
+    /// hit, then the best hit's distance.
+    bound: f64,
+    found: Option<(f64, PointId)>,
+}
+
+impl Best {
+    #[inline]
+    fn offer(&mut self, d: f64, id: PointId) {
+        let better = match self.found {
+            Some(b) => nearer((d, id), b),
+            None => d <= self.bound,
+        };
+        if better {
+            self.bound = d;
+            self.found = Some((d, id));
+        }
+    }
+}
+
 /// A static kd-tree over a borrowed [`PointSet`].
 pub struct KdTree<'a> {
     points: &'a PointSet,
@@ -213,6 +311,23 @@ impl<'a> KdTree<'a> {
     pub fn node_count(&self) -> usize {
         self.core.nodes.len()
     }
+
+    /// The nearest point within `eps` of `query` among the ids `keep`
+    /// accepts, as (squared distance, id), or `None` when no accepted point
+    /// lies within `eps` (the closed ball, like [`RangeIndex::range`]).
+    ///
+    /// Ties go to the smaller id: the answer is the lexicographic minimum
+    /// of (squared distance, id) over the accepted points in the ball (see
+    /// [`nearer`]), whatever the tree's shape. Pass `|_| true` to accept
+    /// every point.
+    pub fn nearest_within(
+        &self,
+        query: &[f64],
+        eps: f64,
+        keep: impl Fn(PointId) -> bool,
+    ) -> Option<(f64, PointId)> {
+        self.core.nearest_within(self.points, query, eps, &keep)
+    }
 }
 
 impl RangeIndex for KdTree<'_> {
@@ -235,7 +350,7 @@ impl RangeIndex for KdTree<'_> {
 /// ownership. A serving engine holds one of these over its core points,
 /// takes the set back out with [`OwnedKdTree::into_points`] when enough new
 /// cores have accumulated, pushes them, and rebuilds.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct OwnedKdTree {
     points: PointSet,
     core: TreeCore,
@@ -261,6 +376,16 @@ impl OwnedKdTree {
     /// Number of tree nodes (diagnostic).
     pub fn node_count(&self) -> usize {
         self.core.nodes.len()
+    }
+
+    /// [`KdTree::nearest_within`] over the owned points.
+    pub fn nearest_within(
+        &self,
+        query: &[f64],
+        eps: f64,
+        keep: impl Fn(PointId) -> bool,
+    ) -> Option<(f64, PointId)> {
+        self.core.nearest_within(&self.points, query, eps, &keep)
     }
 }
 
@@ -430,6 +555,36 @@ mod tests {
         }
         assert_eq!(owned.len(), 400);
         assert_eq!(owned.node_count(), borrowed.node_count());
+    }
+
+    #[test]
+    fn nearest_within_breaks_exact_ties_toward_the_smaller_id() {
+        // Cores 22..=41 listed first (ids 0..20), then 0..=19 (ids 20..40):
+        // query 20.5 lies exactly ε = 1.5 from 22 (id 0) and from 19
+        // (id 39), and the range order of this tree reports 19 first.
+        let rows: Vec<Vec<f64>> = (22..42).chain(0..20).map(|x| vec![x as f64]).collect();
+        let ps = PointSet::from_rows(&rows);
+        let borrowed = KdTree::build(&ps);
+        let owned = OwnedKdTree::build(ps.clone());
+        assert_eq!(borrowed.range_vec(&[20.5], 1.5), vec![39, 0]);
+        assert_eq!(
+            borrowed.nearest_within(&[20.5], 1.5, |_| true),
+            Some((2.25, 0))
+        );
+        assert_eq!(
+            owned.nearest_within(&[20.5], 1.5, |_| true),
+            Some((2.25, 0))
+        );
+        // The filter removes the winner; the other tied point answers.
+        assert_eq!(
+            owned.nearest_within(&[20.5], 1.5, |id| id != 0),
+            Some((2.25, 39))
+        );
+        assert_eq!(borrowed.nearest_within(&[20.5], 1.4, |_| true), None);
+        assert_eq!(
+            KdTree::build(&PointSet::new(1)).nearest_within(&[0.0], 1e9, |_| true),
+            None
+        );
     }
 
     #[test]

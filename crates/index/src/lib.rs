@@ -50,7 +50,7 @@ pub use kdist::{
     k_distance_profile, k_distance_profile_for_ids, k_distance_profile_threaded, knee_epsilon,
     kth_neighbor_distance,
 };
-pub use kdtree::{KdTree, OwnedKdTree};
+pub use kdtree::{nearer, KdTree, OwnedKdTree};
 pub use linear::LinearScan;
 pub use rstar::RStarTree;
 pub use stats::{CountingIndex, QueryStats};

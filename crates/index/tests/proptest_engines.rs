@@ -4,8 +4,11 @@
 //! failure exactly reproducible.
 
 use dbsvec_geometry::rng::SplitMix64;
+use dbsvec_geometry::PointId;
 use dbsvec_geometry::PointSet;
-use dbsvec_index::{CountingIndex, GridIndex, KdTree, LinearScan, RStarTree, RangeIndex};
+use dbsvec_index::{
+    CountingIndex, GridIndex, KdTree, LinearScan, OwnedKdTree, RStarTree, RangeIndex,
+};
 
 fn point_set(rng: &mut SplitMix64, max_n: usize, max_d: usize) -> PointSet {
     let d = 1 + rng.next_below(max_d as u64) as usize;
@@ -110,5 +113,70 @@ fn rstar_incremental_never_loses_points() {
         all.sort_unstable();
         let expected: Vec<u32> = (0..ps.len() as u32).collect();
         assert_eq!(all, expected);
+    }
+}
+
+/// The nearest-within-ε answer by brute force: the lexicographic minimum of
+/// (squared distance, id) over the kept points in the closed ball.
+fn brute_nearest(ps: &PointSet, q: &[f64], eps: f64, keep: &[bool]) -> Option<(f64, PointId)> {
+    let mut best: Option<(f64, PointId)> = None;
+    for id in 0..ps.len() as PointId {
+        let d = ps.squared_distance_to(id, q);
+        if keep[id as usize] && d <= eps * eps && best.map_or(true, |(bd, _)| d < bd) {
+            best = Some((d, id));
+        }
+    }
+    best
+}
+
+#[test]
+fn nearest_within_matches_brute_force_on_both_wrappers() {
+    let mut rng = SplitMix64::new(0x6E4E);
+    for n in [0usize, 1, 500] {
+        for d in [1usize, 8] {
+            // Small integer coordinates, then a block of exact copies:
+            // duplicated points and exact distance ties are the common case.
+            let mut ps = PointSet::new(d);
+            let mut row = vec![0.0; d];
+            for i in 0..n {
+                if i >= 4 && i % 5 == 0 {
+                    let src = rng.next_below(i as u64) as PointId;
+                    row.copy_from_slice(ps.point(src));
+                } else {
+                    for x in &mut row {
+                        *x = rng.next_below(12) as f64;
+                    }
+                }
+                ps.push(&row);
+            }
+            let borrowed = KdTree::build(&ps);
+            let owned = OwnedKdTree::build(ps.clone());
+            let all = vec![true; n];
+            let some: Vec<bool> = (0..n).map(|_| rng.next_below(3) != 0).collect();
+            for probe in 0..60 {
+                let eps: f64 = [0.0, 0.5, 1.0, 2.0, 3.0, 1e9][(probe / 2) % 6];
+                let q: Vec<f64> = if n > 0 && probe % 2 == 0 {
+                    // Exactly ε from a point along one axis (all values
+                    // here are exact in binary, so the squared distance is
+                    // exactly ε²).
+                    let mut q = ps.point(rng.next_below(n as u64) as PointId).to_vec();
+                    q[rng.next_below(d as u64) as usize] += eps.min(3.0);
+                    q
+                } else {
+                    // Half-integer probes sit equidistant from many points.
+                    (0..d).map(|_| rng.next_below(24) as f64 * 0.5).collect()
+                };
+                for keep in [&all, &some] {
+                    let want = brute_nearest(&ps, &q, eps, keep);
+                    let filter = |id: PointId| keep[id as usize];
+                    assert_eq!(
+                        borrowed.nearest_within(&q, eps, filter),
+                        want,
+                        "n={n} d={d} eps={eps} q={q:?}"
+                    );
+                    assert_eq!(owned.nearest_within(&q, eps, filter), want);
+                }
+            }
+        }
     }
 }
