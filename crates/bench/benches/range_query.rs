@@ -1,8 +1,8 @@
-//! Microbenchmark: the four range-query engines.
+//! Microbenchmark: the three range-query engines.
 //!
 //! Every algorithm in the workspace reduces to ε-range queries, so the
 //! engine choice dominates end-to-end cost. Expected ordering on clustered
-//! data: grid ≈ kd-tree ≈ R\*-tree ≪ linear scan, with build costs in the
+//! data: kd-tree ≈ R\*-tree ≪ linear scan, with build costs in the
 //! opposite order. The `kdtree_nearest` rows time the kd-tree's bounded
 //! nearest-neighbour search within the same ε, from the same queries
 //! moved off the sample.
@@ -10,7 +10,7 @@
 use dbsvec_bench::micro::{black_box, Runner};
 use dbsvec_datasets::{random_walk_clusters, RandomWalkConfig};
 use dbsvec_geometry::PointSet;
-use dbsvec_index::{BallTree, GridIndex, KdTree, LinearScan, RStarTree, RangeIndex};
+use dbsvec_index::{KdTree, LinearScan, RStarTree, RangeIndex};
 
 fn main() {
     let runner = Runner::from_env("range_query");
@@ -80,24 +80,6 @@ fn bench_queries(runner: &Runner) {
             }
             out.len()
         });
-
-        let grid = GridIndex::build(&points, eps);
-        runner.bench(&format!("grid/{n}"), || {
-            for q in &qs {
-                out.clear();
-                grid.range(black_box(q), eps, &mut out);
-            }
-            out.len()
-        });
-
-        let ball = BallTree::build(&points);
-        runner.bench(&format!("balltree/{n}"), || {
-            for q in &qs {
-                out.clear();
-                ball.range(black_box(q), eps, &mut out);
-            }
-            out.len()
-        });
     }
 }
 
@@ -108,11 +90,5 @@ fn bench_builds(runner: &Runner) {
     runner.bench("kdtree", || KdTree::build(black_box(&points)).node_count());
     runner.bench("rstar_bulk", || {
         RStarTree::build(black_box(&points)).height()
-    });
-    runner.bench("grid", || {
-        GridIndex::build(black_box(&points), 5000.0).occupied_cells()
-    });
-    runner.bench("balltree", || {
-        BallTree::build(black_box(&points)).node_count()
     });
 }

@@ -109,12 +109,13 @@ fn serve_stream(
     let signals = monitor
         .signals()
         .expect("at least one window must complete");
+    let stats = engine.stats();
     StreamOutcome {
         name,
         queries: queries.len(),
         secs,
-        windows: monitor.windows_completed(),
-        alerts: monitor.alerts(),
+        windows: stats.quality_windows,
+        alerts: stats.drift_alerts,
         smoothed_score: signals.smoothed_score,
         dominant: signals.dominant(),
         drift_exceeded: monitor.drift_exceeded(),

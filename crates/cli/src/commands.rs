@@ -19,8 +19,8 @@ use dbsvec_datasets::{
     RandomWalkConfig,
 };
 use dbsvec_engine::{
-    snapshot, Assignment, Engine, EngineConfig, EngineMetrics, ModelArtifact, MonitorConfig,
-    QualityMonitor, SampledMode, SamplingInfo,
+    snapshot, Assignment, Engine, EngineConfig, EngineMetrics, EngineStats, ModelArtifact,
+    MonitorConfig, QualityMonitor, SampledMode, SamplingInfo,
 };
 use dbsvec_geometry::{PointId, PointSet};
 use dbsvec_index::{k_distance_profile, k_distance_profile_for_ids, knee_epsilon, KdTree};
@@ -165,9 +165,13 @@ fn monitor_options(args: &ParsedArgs) -> Result<Option<MonitorConfig>, CliError>
     Ok(Some(config))
 }
 
-/// Prints the monitor's verdict and the combined refit recommendation
-/// after a monitored serve/ingest run.
-fn print_drift_summary(monitor: &QualityMonitor, out: &mut dyn Write) -> Result<(), CliError> {
+/// Prints the monitor's verdict after a monitored serve/ingest run, with
+/// the window and alert counts from the engine's `stats`.
+fn print_drift_summary(
+    monitor: &QualityMonitor,
+    stats: &EngineStats,
+    out: &mut dyn Write,
+) -> Result<(), CliError> {
     if !monitor.has_baseline() {
         writeln!(
             out,
@@ -179,8 +183,8 @@ fn print_drift_summary(monitor: &QualityMonitor, out: &mut dyn Write) -> Result<
         Some(s) => writeln!(
             out,
             "drift: {} windows, {} alerts; score {:.3} (smoothed {:.3}), dominant signal {}",
-            monitor.windows_completed(),
-            monitor.alerts(),
+            stats.quality_windows,
+            stats.drift_alerts,
             s.score,
             s.smoothed_score,
             s.dominant()
@@ -189,7 +193,7 @@ fn print_drift_summary(monitor: &QualityMonitor, out: &mut dyn Write) -> Result<
             out,
             "drift: {} windows completed, none scored yet \
              (window {} larger than the traffic seen?)",
-            monitor.windows_completed(),
+            stats.quality_windows,
             monitor.config().window
         )?,
     }
@@ -298,7 +302,7 @@ fn load_with_params_sampled(
                 Some(ids) => {
                     let stride = (ids.len() / 500).max(1);
                     let probes: Vec<PointId> = ids.iter().copied().step_by(stride).collect();
-                    k_distance_profile_for_ids(&points, &index, min_pts, &probes, 1)
+                    k_distance_profile_for_ids(&points, &index, min_pts, &probes)
                 }
                 None => k_distance_profile(&points, &index, min_pts, 500),
             };
@@ -795,7 +799,7 @@ pub fn serve(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
         queries.len() - hits
     )?;
     if let Some(mon) = engine.monitor() {
-        print_drift_summary(mon, out)?;
+        print_drift_summary(mon, &engine.stats(), out)?;
         print_recommendation(&engine, out)?;
     }
 
@@ -1080,7 +1084,7 @@ pub fn ingest(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
         engine.staleness() * 100.0
     )?;
     if let Some(mon) = engine.monitor() {
-        print_drift_summary(mon, out)?;
+        print_drift_summary(mon, &engine.stats(), out)?;
     }
     print_recommendation(&engine, out)?;
 
@@ -1742,6 +1746,52 @@ mod tests {
         for f in [&data, &model] {
             std::fs::remove_file(f).ok();
         }
+    }
+
+    #[test]
+    fn sampled_fits_derive_eps_from_their_candidates() {
+        let data = tempfile("sampled-eps.csv");
+        let data_s = data.to_str().unwrap();
+        run_ok(&[
+            "generate",
+            "--dataset",
+            "moons",
+            "--n",
+            "1200",
+            "--output",
+            data_s,
+        ]);
+        let derived = |extra: &[&str]| {
+            let mut tokens = vec![
+                "fit",
+                "--input",
+                data_s,
+                "--min-pts",
+                "5",
+                "--save",
+                "/dev/null",
+            ];
+            tokens.extend_from_slice(extra);
+            let text = run_ok(&tokens);
+            text.lines()
+                .find(|l| l.starts_with("derived eps = "))
+                .unwrap_or_else(|| panic!("no derived eps line: {text}"))
+                .to_string()
+        };
+        let exact = derived(&[]);
+        assert_eq!(exact, "derived eps = 0.057895 from the 5-distance knee");
+        // Full coverage profiles every point in order: the exact sweep.
+        assert_eq!(derived(&["--sample-rate", "1.0"]), exact);
+        // A drawn subsample profiles only its own candidates.
+        assert_eq!(
+            derived(&["--sample-rate", "0.5", "--sample-seed", "7"]),
+            "derived eps = 0.056094 from the 5-distance knee"
+        );
+        assert_eq!(
+            derived(&["--sample-kcenter", "150"]),
+            "derived eps = 0.085860 from the 5-distance knee"
+        );
+        std::fs::remove_file(&data).ok();
     }
 
     #[test]

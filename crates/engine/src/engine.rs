@@ -168,6 +168,11 @@ pub struct EngineStats {
     /// Times the core kd-tree was rebuilt to fold in the tail or compact
     /// tombstones (re-indexing the tail's own tree is not counted).
     pub tree_rebuilds: u64,
+    /// Tumbling windows the quality monitor completed (0 without one).
+    pub quality_windows: u64,
+    /// Completed windows whose smoothed drift score crossed the monitor's
+    /// threshold.
+    pub drift_alerts: u64,
 }
 
 /// One coherent point-in-time read of the engine's operational health.
@@ -532,6 +537,8 @@ impl Engine {
             demotions: c.demotions,
             splits: c.splits,
             tree_rebuilds: self.tree_rebuilds,
+            quality_windows: c.quality_windows,
+            drift_alerts: c.drift_alerts,
         }
     }
 
@@ -1661,6 +1668,8 @@ mod tests {
         assert_eq!(counts.assigns, 8);
         assert_eq!(counts.quality_windows, 1);
         assert_eq!(counts.drift_alerts, 1);
+        let stats = engine.stats();
+        assert_eq!((stats.quality_windows, stats.drift_alerts), (1, 1));
         let h = engine.health();
         assert!(h.refit_recommended, "drift alone must recommend refit");
         assert!(engine.refit_recommended());
@@ -1691,7 +1700,7 @@ mod tests {
         let counts = rec.replay();
         assert_eq!(counts.ingests, 4);
         assert_eq!(counts.quality_windows, 1);
-        assert_eq!(engine.monitor().unwrap().windows_completed(), 1);
+        assert_eq!(engine.stats().quality_windows, 1);
     }
 
     impl ModelArtifact {

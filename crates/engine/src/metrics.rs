@@ -2,9 +2,10 @@
 //!
 //! [`EngineMetrics`] owns a `dbsvec-obs` telemetry registry with every
 //! serving metric pre-registered from tables of `(name, help, value)`
-//! rows: lifetime counters showing [`EngineStats`] fields, health gauges
-//! showing [`HealthSnapshot`] fields, the attached quality monitor's
-//! counters and gauges, and per-call latency histograms.
+//! rows: lifetime counters showing [`EngineStats`] fields (the quality
+//! monitor's window and alert counts among them), health gauges showing
+//! [`HealthSnapshot`] fields, the attached quality monitor's gauges, and
+//! per-call latency histograms.
 //!
 //! * **Counters and gauges** are never incremented per call.
 //!   [`EngineMetrics::refresh`] overwrites them from the engine's
@@ -99,17 +100,18 @@ const STAT_COUNTERS: [Row<EngineStats, u64>; 12] = [
 ];
 
 /// The quality monitor's counters, registered after the snapshot I/O
-/// counters.
-const MONITOR_COUNTERS: [Row<QualityMonitor, u64>; 2] = [
+/// counters. Like the other counters they show [`EngineStats`] fields, so
+/// the router's shard sum carries them too.
+const MONITOR_COUNTERS: [Row<EngineStats, u64>; 2] = [
     (
         "dbsvec_quality_windows_total",
         "Quality-monitor tumbling windows completed.",
-        |m| m.windows_completed(),
+        |s| s.quality_windows,
     ),
     (
         "dbsvec_drift_alerts_total",
         "Windows whose smoothed drift score crossed the threshold.",
-        |m| m.alerts(),
+        |s| s.drift_alerts,
     ),
 ];
 
@@ -259,21 +261,18 @@ impl EngineMetrics {
     }
 
     /// Overwrites counters from the engine's cumulative [`EngineStats`]
-    /// and gauges from its current [`HealthSnapshot`] (whose refit gauge
-    /// carries the monitor's drift evidence). With a monitor attached, also
-    /// publishes its state: window/alert counters, per-signal drift
-    /// gauges, windowed noise rate, and lazily registered per-cluster
-    /// occupancy gauges (`dbsvec_cluster_occupancy_c<N>`, the registry has
-    /// no label support). Safe to call at any cadence; every source is
-    /// authoritative.
+    /// (window and alert counts included) and gauges from its current
+    /// [`HealthSnapshot`] (whose refit gauge carries the monitor's drift
+    /// evidence). With a monitor attached, also publishes its state:
+    /// per-signal drift gauges, windowed noise rate, and lazily registered
+    /// per-cluster occupancy gauges (`dbsvec_cluster_occupancy_c<N>`, the
+    /// registry has no label support). Safe to call at any cadence; every
+    /// source is authoritative.
     pub fn refresh(&mut self, engine: &Engine) {
         self.refresh_from_parts(&engine.stats(), &engine.health());
         let Some(monitor) = engine.monitor() else {
             return;
         };
-        for (&id, (_, _, value)) in self.monitor_counters.iter().zip(&MONITOR_COUNTERS) {
-            self.reg.set_counter(id, value(monitor));
-        }
         for (&id, (_, _, value)) in self.monitor_gauges.iter().zip(&MONITOR_GAUGES) {
             self.reg.set(id, value(monitor));
         }
@@ -297,6 +296,9 @@ impl EngineMetrics {
     /// max, refit ORs) before refreshing.
     pub fn refresh_from_parts(&mut self, s: &EngineStats, h: &HealthSnapshot) {
         for (&id, (_, _, value)) in self.stat_counters.iter().zip(&STAT_COUNTERS) {
+            self.reg.set_counter(id, value(s));
+        }
+        for (&id, (_, _, value)) in self.monitor_counters.iter().zip(&MONITOR_COUNTERS) {
             self.reg.set_counter(id, value(s));
         }
         for (&id, (_, _, value)) in self.health_gauges.iter().zip(&HEALTH_GAUGES) {

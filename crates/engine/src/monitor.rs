@@ -210,13 +210,13 @@ pub struct QualityMonitor {
     win_occupancy: Vec<u64>,
     win_noise: u64,
     win_samples: u64,
-    // Completed-window state.
+    // Completed-window state. The owning engine counts windows and alerts
+    // from the events their reports carry.
     windows_completed: u64,
     last: Option<DriftSignals>,
     last_shares: Vec<f64>,
     last_noise_rate: Option<f64>,
     ewma: Ewma,
-    alerts: u64,
 }
 
 impl QualityMonitor {
@@ -243,7 +243,6 @@ impl QualityMonitor {
             last_shares: Vec::new(),
             last_noise_rate: None,
             ewma: Ewma::new(config.ewma_alpha),
-            alerts: 0,
         }
     }
 
@@ -256,16 +255,6 @@ impl QualityMonitor {
     /// staleness-only mode).
     pub fn has_baseline(&self) -> bool {
         self.baseline.is_some()
-    }
-
-    /// Completed tumbling windows.
-    pub fn windows_completed(&self) -> u64 {
-        self.windows_completed
-    }
-
-    /// Windows whose smoothed score crossed the threshold.
-    pub fn alerts(&self) -> u64 {
-        self.alerts
     }
 
     /// Drift evidence of the most recently completed window, `None`
@@ -371,9 +360,6 @@ impl QualityMonitor {
         self.last_shares = shares;
         self.last_noise_rate = Some(noise_rate);
         let alert = self.drift_exceeded();
-        if alert {
-            self.alerts += 1;
-        }
         let report = WindowReport {
             window: self.windows_completed,
             samples: self.win_samples,
@@ -435,8 +421,7 @@ mod tests {
         assert!(s.score < 0.35, "stationary score too high: {s:?}");
         assert!(!report.alert);
         assert!(!m.drift_exceeded());
-        assert_eq!(m.windows_completed(), 1);
-        assert_eq!(m.alerts(), 0);
+        assert_eq!(report.window, 1);
     }
 
     #[test]
@@ -460,7 +445,7 @@ mod tests {
         assert!(s.score >= 0.35, "drifted score too low: {s:?}");
         assert!(report.alert, "alert expected: {s:?}");
         assert!(m.drift_exceeded());
-        assert_eq!(m.alerts(), 1);
+        assert_eq!(report.window, 1);
         assert!(s.hist_distance > 0.0);
         assert!(s.occupancy_shift > 0.0);
         assert!(s.noise_delta > 0.25);
@@ -549,8 +534,9 @@ mod tests {
         }
         let clean = m.signals().unwrap();
         assert!(clean.smoothed_score < 0.2);
+        let mut report = None;
         for _ in 0..2 {
-            m.observe_assign(Assignment::Noise, None);
+            report = m.observe_assign(Assignment::Noise, None).or(report);
         }
         let spiky = m.signals().unwrap();
         assert!(spiky.score > 0.9, "raw window score: {spiky:?}");
@@ -559,7 +545,7 @@ mod tests {
             "EWMA must damp: {spiky:?}"
         );
         assert!(!m.drift_exceeded());
-        assert_eq!(m.alerts(), 0);
+        assert!(!report.expect("window completed").alert);
     }
 
     #[test]

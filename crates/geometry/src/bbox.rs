@@ -82,13 +82,6 @@ impl BoundingBox {
         }
     }
 
-    /// The union of two boxes without mutating either.
-    pub fn union(&self, other: &BoundingBox) -> BoundingBox {
-        let mut out = self.clone();
-        out.expand_to_box(other);
-        out
-    }
-
     /// Whether `p` lies inside the closed box.
     pub fn contains_point(&self, p: &[f64]) -> bool {
         self.min
@@ -117,12 +110,6 @@ impl BoundingBox {
         acc
     }
 
-    /// Whether the closed ball `{q : ||q - center|| <= radius}` intersects the box.
-    #[inline]
-    pub fn intersects_ball(&self, center: &[f64], radius: f64) -> bool {
-        self.min_squared_distance(center) <= radius * radius
-    }
-
     /// Squared distance from `p` to the farthest point of the box.
     ///
     /// When this is `<= ε²` the whole box lies inside the query ball, so a
@@ -139,45 +126,10 @@ impl BoundingBox {
         acc
     }
 
-    /// Whether the box lies entirely inside the closed ball.
-    #[inline]
-    pub fn inside_ball(&self, center: &[f64], radius: f64) -> bool {
-        self.max_squared_distance(center) <= radius * radius
-    }
-
-    /// Hyper-volume of the box (product of edge lengths).
-    pub fn volume(&self) -> f64 {
-        self.min
-            .iter()
-            .zip(&self.max)
-            .map(|(lo, hi)| hi - lo)
-            .product()
-    }
-
-    /// Half the surface measure used by the R\*-tree split heuristic:
-    /// the sum of edge lengths ("margin").
+    /// The sum of edge lengths ("margin"), a cheap size measure: the
+    /// k-distance sweep divides it by n for its first search radius.
     pub fn margin(&self) -> f64 {
         self.min.iter().zip(&self.max).map(|(lo, hi)| hi - lo).sum()
-    }
-
-    /// Volume of the intersection of two boxes (zero when disjoint).
-    pub fn overlap_volume(&self, other: &BoundingBox) -> f64 {
-        debug_assert_eq!(other.dims(), self.dims());
-        let mut vol = 1.0;
-        for ((alo, ahi), (blo, bhi)) in self
-            .min
-            .iter()
-            .zip(&self.max)
-            .zip(other.min.iter().zip(&other.max))
-        {
-            let lo = alo.max(*blo);
-            let hi = ahi.min(*bhi);
-            if lo >= hi {
-                return 0.0;
-            }
-            vol *= hi - lo;
-        }
-        vol
     }
 
     /// Center of the box.
@@ -202,7 +154,7 @@ mod tests {
     fn around_point_is_degenerate() {
         let bb = BoundingBox::around_point(&[2.0, 3.0]);
         assert_eq!(bb.min(), bb.max());
-        assert_eq!(bb.volume(), 0.0);
+        assert_eq!(bb.margin(), 0.0);
         assert!(bb.contains_point(&[2.0, 3.0]));
     }
 
@@ -237,26 +189,6 @@ mod tests {
     }
 
     #[test]
-    fn ball_intersection() {
-        let bb = unit_box();
-        assert!(bb.intersects_ball(&[2.0, 0.5], 1.0));
-        assert!(!bb.intersects_ball(&[2.0, 0.5], 0.99));
-        assert!(bb.intersects_ball(&[0.5, 0.5], 0.0));
-    }
-
-    #[test]
-    fn union_and_overlap() {
-        let a = unit_box();
-        let b = BoundingBox::from_corners(vec![0.5, 0.5], vec![2.0, 2.0]);
-        let u = a.union(&b);
-        assert_eq!(u.min(), &[0.0, 0.0]);
-        assert_eq!(u.max(), &[2.0, 2.0]);
-        assert!((a.overlap_volume(&b) - 0.25).abs() < 1e-12);
-        let disjoint = BoundingBox::from_corners(vec![5.0, 5.0], vec![6.0, 6.0]);
-        assert_eq!(a.overlap_volume(&disjoint), 0.0);
-    }
-
-    #[test]
     fn max_squared_distance_is_to_farthest_corner() {
         let bb = unit_box();
         // From the origin corner, the farthest point is (1, 1).
@@ -266,16 +198,8 @@ mod tests {
     }
 
     #[test]
-    fn inside_ball_detects_full_containment() {
-        let bb = unit_box();
-        assert!(bb.inside_ball(&[0.5, 0.5], 1.0));
-        assert!(!bb.inside_ball(&[0.5, 0.5], 0.5));
-    }
-
-    #[test]
-    fn volume_margin_center() {
+    fn margin_and_center() {
         let bb = BoundingBox::from_corners(vec![0.0, 0.0, 0.0], vec![1.0, 2.0, 3.0]);
-        assert!((bb.volume() - 6.0).abs() < 1e-12);
         assert!((bb.margin() - 6.0).abs() < 1e-12);
         assert_eq!(bb.center(), vec![0.5, 1.0, 1.5]);
     }

@@ -10,8 +10,8 @@
 //!
 //! * [`distance`] — Euclidean distance kernels used by the range-query
 //!   engines and the SVDD Gaussian kernel,
-//! * [`bbox::BoundingBox`] — axis-aligned boxes used by the kd-tree, R\*-tree
-//!   and grid indexes,
+//! * [`bbox::BoundingBox`] — axis-aligned boxes used by the kd-tree and
+//!   R\*-tree indexes,
 //! * a tiny splitmix-based deterministic RNG ([`rng::SplitMix64`]) used where
 //!   a dependency on `rand` would be overkill.
 

@@ -5,7 +5,7 @@
 //! reproduces exactly with no external test-framework dependency.
 
 use dbsvec_geometry::rng::SplitMix64;
-use dbsvec_geometry::{euclidean, squared_euclidean, BoundingBox, PointSet};
+use dbsvec_geometry::{euclidean, squared_euclidean, PointSet};
 
 fn vector(rng: &mut SplitMix64, d: usize, lo: f64, hi: f64) -> Vec<f64> {
     (0..d).map(|_| rng.next_f64_range(lo, hi)).collect()
@@ -72,30 +72,17 @@ fn bbox_union_contains_both() {
         let pb = PointSet::from_rows(&rows(&mut rng, nb, 2, -1e3, 1e3));
         let ba = pa.bounding_box().unwrap();
         let bb = pb.bounding_box().unwrap();
-        let u = ba.union(&bb);
+        let mut u = ba.clone();
+        u.expand_to_box(&bb);
         for (_, p) in pa.iter().chain(pb.iter()) {
             assert!(u.contains_point(p));
         }
-        assert!(u.volume() + 1e-12 >= ba.volume().max(bb.volume()));
-    }
-}
-
-#[test]
-fn overlap_volume_is_symmetric_and_bounded() {
-    let mut rng = SplitMix64::new(0xE66);
-    for _ in 0..128 {
-        let lo1 = vector(&mut rng, 2, -100.0, 100.0);
-        let ext1 = vector(&mut rng, 2, 0.0, 50.0);
-        let lo2 = vector(&mut rng, 2, -100.0, 100.0);
-        let ext2 = vector(&mut rng, 2, 0.0, 50.0);
-        let hi1: Vec<f64> = lo1.iter().zip(&ext1).map(|(l, e)| l + e).collect();
-        let hi2: Vec<f64> = lo2.iter().zip(&ext2).map(|(l, e)| l + e).collect();
-        let a = BoundingBox::from_corners(lo1, hi1);
-        let b = BoundingBox::from_corners(lo2, hi2);
-        let ab = a.overlap_volume(&b);
-        assert!((ab - b.overlap_volume(&a)).abs() < 1e-9);
-        assert!(ab >= 0.0);
-        assert!(ab <= a.volume().min(b.volume()) + 1e-9);
+        // And no larger: the box of both sets pooled.
+        let mut pooled = pa.clone();
+        for (_, p) in pb.iter() {
+            pooled.push(p);
+        }
+        assert_eq!(u, pooled.bounding_box().unwrap());
     }
 }
 

@@ -73,47 +73,9 @@ pub fn k_distance_profile<I: RangeIndex>(
 ) -> Vec<f64> {
     assert!(sample >= 1, "sample must be at least 1");
     let n = points.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let stride = (n / sample).max(1);
-    let mut profile: Vec<f64> = (0..n)
-        .step_by(stride)
-        .filter_map(|i| kth_neighbor_distance(points, index, i as PointId, k))
-        .collect();
-    profile.sort_by(|a, b| b.partial_cmp(a).expect("NaN distance"));
-    profile
-}
-
-/// [`k_distance_profile`] with the per-point doubling searches fanned out
-/// across `threads` scoped worker threads (`0` means all available cores,
-/// `1` takes the exact sequential path).
-///
-/// The strided sample is chunked in order and the chunk results are
-/// concatenated before the final sort, so the profile is identical to the
-/// sequential one at every thread count: each `kth_neighbor_distance` is a
-/// pure function of the immutable index, and concatenation-then-sort of an
-/// order-preserving partition reproduces the sequential collection exactly.
-///
-/// # Panics
-///
-/// Panics if `k == 0` or `sample == 0`.
-pub fn k_distance_profile_threaded<I: RangeIndex + Sync>(
-    points: &PointSet,
-    index: &I,
-    k: usize,
-    sample: usize,
-    threads: usize,
-) -> Vec<f64> {
-    assert!(k >= 1, "k must be at least 1");
-    assert!(sample >= 1, "sample must be at least 1");
-    let n = points.len();
-    if n == 0 {
-        return Vec::new();
-    }
     let stride = (n / sample).max(1);
     let ids: Vec<PointId> = (0..n).step_by(stride).map(|i| i as PointId).collect();
-    k_distance_profile_for_ids(points, index, k, &ids, threads)
+    k_distance_profile_for_ids(points, index, k, &ids)
 }
 
 /// The sorted (descending) k-distance profile over an explicit id set —
@@ -127,54 +89,20 @@ pub fn k_distance_profile_threaded<I: RangeIndex + Sync>(
 /// [`k_distance_profile`]`(…, sample = n)`, so ε derivation at sampling
 /// rate 1.0 matches the exact fit bit-for-bit.
 ///
-/// Threading follows [`k_distance_profile_threaded`]: `0` means all
-/// available cores, `1` (or fewer than 2 ids) takes the sequential path,
-/// and the chunked fan-out is order-preserving, so the result is identical
-/// at every thread count.
-///
 /// # Panics
 ///
 /// Panics if `k == 0`.
-pub fn k_distance_profile_for_ids<I: RangeIndex + Sync>(
+pub fn k_distance_profile_for_ids<I: RangeIndex>(
     points: &PointSet,
     index: &I,
     k: usize,
     ids: &[PointId],
-    threads: usize,
 ) -> Vec<f64> {
     assert!(k >= 1, "k must be at least 1");
-    let threads = if threads == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        threads
-    };
-    let mut profile: Vec<f64> = if threads <= 1 || ids.len() < 2 {
-        ids.iter()
-            .filter_map(|&id| kth_neighbor_distance(points, index, id, k))
-            .collect()
-    } else {
-        let workers = threads.min(ids.len());
-        let chunk = ids.len().div_ceil(workers);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = ids
-                .chunks(chunk)
-                .map(|part| {
-                    scope.spawn(move || {
-                        part.iter()
-                            .filter_map(|&id| kth_neighbor_distance(points, index, id, k))
-                            .collect::<Vec<f64>>()
-                    })
-                })
-                .collect();
-            let mut all = Vec::with_capacity(ids.len());
-            for handle in handles {
-                all.extend(handle.join().expect("k-dist worker panicked"));
-            }
-            all
-        })
-    };
+    let mut profile: Vec<f64> = ids
+        .iter()
+        .filter_map(|&id| kth_neighbor_distance(points, index, id, k))
+        .collect();
     profile.sort_by(|a, b| b.partial_cmp(a).expect("NaN distance"));
     profile
 }
@@ -249,6 +177,11 @@ mod tests {
         let idx = LinearScan::build(&ps);
         assert_eq!(kth_neighbor_distance(&ps, &idx, 0, 3), None);
         assert!(kth_neighbor_distance(&ps, &idx, 0, 2).is_some());
+        // A profile skips such points, so one point or none profiles empty.
+        let one = line(1, 1.0);
+        assert!(k_distance_profile(&one, &LinearScan::build(&one), 3, 4).is_empty());
+        let empty = PointSet::new(2);
+        assert!(k_distance_profile(&empty, &LinearScan::build(&empty), 1, 1).is_empty());
     }
 
     #[test]
@@ -286,42 +219,10 @@ mod tests {
     }
 
     #[test]
-    fn threaded_profile_is_identical_to_sequential() {
-        let mut ps = PointSet::new(2);
-        for i in 0..90 {
-            ps.push(&[(i % 10) as f64 * 1.5, (i / 10) as f64 * 2.0]);
-        }
-        for i in 0..6 {
-            ps.push(&[500.0 + i as f64 * 40.0, 0.0]);
-        }
-        let idx = LinearScan::build(&ps);
-        for (k, sample) in [(1, 96), (3, 96), (4, 17)] {
-            let sequential = k_distance_profile(&ps, &idx, k, sample);
-            for threads in [1, 2, 3, 8] {
-                let threaded = k_distance_profile_threaded(&ps, &idx, k, sample, threads);
-                assert_eq!(
-                    sequential, threaded,
-                    "k={k} sample={sample} threads={threads}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn threaded_profile_handles_tiny_inputs() {
-        let ps = line(1, 1.0);
-        let idx = LinearScan::build(&ps);
-        assert!(k_distance_profile_threaded(&ps, &idx, 3, 4, 4).is_empty());
-        let empty = PointSet::new(2);
-        let idx2 = LinearScan::build(&empty);
-        assert!(k_distance_profile_threaded(&empty, &idx2, 1, 1, 4).is_empty());
-    }
-
-    #[test]
     fn full_coverage_id_profile_matches_the_classic_sweep() {
         // Sampling rate 1.0 must derive the exact fit's ε: profiling every
         // id in natural order reproduces the strided sweep (stride 1) and
-        // therefore the same knee, at every thread count.
+        // therefore the same knee.
         let mut ps = PointSet::new(2);
         for i in 0..70 {
             ps.push(&[(i % 7) as f64 * 1.2, (i / 7) as f64 * 0.9]);
@@ -332,11 +233,9 @@ mod tests {
         let idx = LinearScan::build(&ps);
         let classic = k_distance_profile(&ps, &idx, 4, ps.len());
         let all_ids: Vec<PointId> = (0..ps.len() as PointId).collect();
-        for threads in [1, 2, 4, 8] {
-            let by_ids = k_distance_profile_for_ids(&ps, &idx, 4, &all_ids, threads);
-            assert_eq!(classic, by_ids, "threads={threads}");
-            assert_eq!(knee_epsilon(&classic), knee_epsilon(&by_ids));
-        }
+        let by_ids = k_distance_profile_for_ids(&ps, &idx, 4, &all_ids);
+        assert_eq!(classic, by_ids);
+        assert_eq!(knee_epsilon(&classic), knee_epsilon(&by_ids));
     }
 
     #[test]
@@ -344,12 +243,12 @@ mod tests {
         let ps = line(40, 1.0);
         let idx = LinearScan::build(&ps);
         let ids: Vec<PointId> = vec![3, 11, 27];
-        let profile = k_distance_profile_for_ids(&ps, &idx, 2, &ids, 1);
+        let profile = k_distance_profile_for_ids(&ps, &idx, 2, &ids);
         assert_eq!(profile.len(), ids.len());
         // Every probed point still sees the full index: interior spacing 1,
         // so the 2nd neighbor is at distance 1 for each chosen id.
         assert!(profile.iter().all(|&d| d == 1.0), "profile {profile:?}");
-        assert!(k_distance_profile_for_ids(&ps, &idx, 2, &[], 4).is_empty());
+        assert!(k_distance_profile_for_ids(&ps, &idx, 2, &[]).is_empty());
     }
 
     #[test]

@@ -2,20 +2,19 @@
 //!
 //! Every DBSCAN-family algorithm in this workspace is built on one
 //! primitive: the ε-range query *"give me all points within distance ε of
-//! q"*. This crate provides four interchangeable engines behind the
+//! q"*. This crate provides three interchangeable engines behind the
 //! [`RangeIndex`] trait:
 //!
 //! * [`LinearScan`] — the O(n) baseline, also the correctness oracle in
 //!   tests;
 //! * [`KdTree`] — median-split kd-tree with leaf buckets, the engine behind
-//!   the paper's *kd-DBSCAN* baseline;
-//! * [`RStarTree`] — an R\*-tree (STR bulk load + R\* insertion heuristics),
-//!   the engine behind the paper's *R-DBSCAN* ground-truth algorithm;
-//! * [`GridIndex`] — a uniform grid with ε-wide cells, used by the
-//!   NQ-DBSCAN baseline and useful on its own in low dimensions;
-//! * [`BallTree`] — sphere-bounded subtrees whose pruning does not loosen
-//!   with dimensionality, the engine of choice at d ≳ 16.
+//!   the paper's *kd-DBSCAN* baseline; its owning twin [`OwnedKdTree`] and
+//!   the bounded nearest-neighbour search [`KdTree::nearest_within`] serve
+//!   the fitted model and the serving engine;
+//! * [`RStarTree`] — an STR bulk-loaded R\*-tree, the engine behind the
+//!   paper's *R-DBSCAN* ground-truth algorithm and DBSVEC's default fit.
 //!
+//! [`k_distance_profile`] and [`knee_epsilon`] derive ε from any engine.
 //! [`CountingIndex`] wraps any engine and counts queries/candidate
 //! inspections so the experiments can report the θ decomposition of the
 //! paper's Table II.
@@ -35,8 +34,6 @@
 //! assert_eq!(hits, vec![0, 1]);
 //! ```
 
-pub mod balltree;
-pub mod grid;
 pub mod kdist;
 pub mod kdtree;
 pub mod linear;
@@ -44,11 +41,8 @@ pub mod rstar;
 pub mod stats;
 pub mod traits;
 
-pub use balltree::BallTree;
-pub use grid::GridIndex;
 pub use kdist::{
-    k_distance_profile, k_distance_profile_for_ids, k_distance_profile_threaded, knee_epsilon,
-    kth_neighbor_distance,
+    k_distance_profile, k_distance_profile_for_ids, knee_epsilon, kth_neighbor_distance,
 };
 pub use kdtree::{nearer, KdTree, OwnedKdTree};
 pub use linear::LinearScan;

@@ -42,7 +42,11 @@ const PARALLEL_MIN_POINTS: usize = 1 << 16;
 pub(crate) fn str_bulk_load(points: &PointSet, threads: usize) -> RStarTree<'_> {
     let n = points.len();
     if n == 0 {
-        return RStarTree::from_parts(points, Vec::new(), None);
+        return RStarTree {
+            points,
+            nodes: Vec::new(),
+            root: None,
+        };
     }
     let dims = points.dims();
     let coord = |id: PointId, d: usize| points.point(id)[d];
@@ -124,8 +128,11 @@ pub(crate) fn str_bulk_load(points: &PointSet, threads: usize) -> RStarTree<'_> 
         nodes.extend(parents);
     }
 
-    let root = level.start as u32;
-    RStarTree::from_parts(points, nodes, Some(root))
+    RStarTree {
+        points,
+        nodes,
+        root: Some(level.start as u32),
+    }
 }
 
 /// Tiles `tile` from dimension `d` on: sorts it on `key(·, d)`, cuts it

@@ -2,24 +2,16 @@
 //!
 //! The paper's ground-truth algorithm *R-DBSCAN* is "the original DBSCAN
 //! algorithm implementation using an in-memory R-tree" (§V-A, after
-//! Beckmann et al.'s R\*-tree \[7\]). This module provides:
+//! Beckmann et al.'s R\*-tree \[7\]). Every tree here is built by **STR
+//! bulk loading** (`bulk`) — the Sort-Tile-Recursive packing of
+//! Leutenegger et al., which builds a near-optimal static tree in
+//! O(n log n), optionally on several threads. Every caller indexes a point
+//! set it already holds in full, so the tree has no insertion path.
 //!
-//! * **STR bulk loading** (`bulk`) — the Sort-Tile-Recursive packing of
-//!   Leutenegger et al., which builds a near-optimal static tree in
-//!   O(n log n), optionally on several threads; this is how all experiment
-//!   datasets are indexed,
-//! * **dynamic insertion** with the R\* heuristics (`split`): ChooseSubtree
-//!   minimizes overlap enlargement at the leaf level and area enlargement
-//!   above it, and node splits pick the axis by minimum margin sum and the
-//!   distribution by minimum overlap. Forced reinsertion is intentionally
-//!   omitted — it only pays off under adversarial insertion orders, and the
-//!   workspace always has bulk loading available for those.
-//!
-//! Fanout is [`RStarTree::MAX_ENTRIES`] = 32 with a 40% minimum fill, the
-//! conventional in-memory configuration.
+//! Fanout is [`RStarTree::MAX_ENTRIES`] = 32, the conventional in-memory
+//! configuration.
 
 mod bulk;
-mod split;
 
 use crate::traits::RangeIndex;
 use dbsvec_geometry::{BoundingBox, PointId, PointSet};
@@ -36,32 +28,16 @@ pub(crate) struct Node {
     pub(crate) entries: Entries,
 }
 
-impl Node {
-    fn is_leaf(&self) -> bool {
-        matches!(self.entries, Entries::Leaf(_))
-    }
-
-    fn entry_count(&self) -> usize {
-        match &self.entries {
-            Entries::Leaf(ids) => ids.len(),
-            Entries::Inner(children) => children.len(),
-        }
-    }
-}
-
 /// An R\*-tree over a borrowed [`PointSet`].
 pub struct RStarTree<'a> {
     points: &'a PointSet,
-    pub(crate) nodes: Vec<Node>,
+    nodes: Vec<Node>,
     root: Option<u32>,
-    len: usize,
 }
 
 impl<'a> RStarTree<'a> {
     /// Maximum entries per node (fanout M).
     pub const MAX_ENTRIES: usize = 32;
-    /// Minimum entries per node after a split (m = 40% of M).
-    pub const MIN_ENTRIES: usize = 13;
 
     /// Bulk-loads the whole point set with Sort-Tile-Recursive packing.
     pub fn build(points: &'a PointSet) -> Self {
@@ -73,73 +49,6 @@ impl<'a> RStarTree<'a> {
     /// at every thread count.
     pub fn build_threaded(points: &'a PointSet, threads: usize) -> Self {
         bulk::str_bulk_load(points, threads)
-    }
-
-    /// Creates an empty tree for incremental insertion.
-    pub fn new(points: &'a PointSet) -> Self {
-        Self {
-            points,
-            nodes: Vec::new(),
-            root: None,
-            len: 0,
-        }
-    }
-
-    /// Inserts one point by id using the R\* heuristics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range for the underlying point set.
-    pub fn insert(&mut self, id: PointId) {
-        let p = self.points.point(id).to_vec();
-        match self.root {
-            None => {
-                self.nodes.push(Node {
-                    bbox: BoundingBox::around_point(&p),
-                    entries: Entries::Leaf(vec![id]),
-                });
-                self.root = Some((self.nodes.len() - 1) as u32);
-            }
-            Some(root) => {
-                if let Some(sibling) = self.insert_recursive(root, id, &p) {
-                    // Root split: grow the tree by one level.
-                    let new_bbox = self.nodes[root as usize]
-                        .bbox
-                        .union(&self.nodes[sibling as usize].bbox);
-                    self.nodes.push(Node {
-                        bbox: new_bbox,
-                        entries: Entries::Inner(vec![root, sibling]),
-                    });
-                    self.root = Some((self.nodes.len() - 1) as u32);
-                }
-            }
-        }
-        self.len += 1;
-    }
-
-    /// Inserts below `node`; returns the id of a new sibling if `node` split.
-    fn insert_recursive(&mut self, node: u32, id: PointId, p: &[f64]) -> Option<u32> {
-        self.nodes[node as usize].bbox.expand_to_point(p);
-        if self.nodes[node as usize].is_leaf() {
-            if let Entries::Leaf(ids) = &mut self.nodes[node as usize].entries {
-                ids.push(id);
-            }
-            if self.nodes[node as usize].entry_count() > Self::MAX_ENTRIES {
-                return Some(split::split_node(self, node));
-            }
-            return None;
-        }
-
-        let child = split::choose_subtree(self, node, p);
-        if let Some(new_child) = self.insert_recursive(child, id, p) {
-            if let Entries::Inner(children) = &mut self.nodes[node as usize].entries {
-                children.push(new_child);
-            }
-            if self.nodes[node as usize].entry_count() > Self::MAX_ENTRIES {
-                return Some(split::split_node(self, node));
-            }
-        }
-        None
     }
 
     /// The indexed point set.
@@ -159,16 +68,6 @@ impl<'a> RStarTree<'a> {
             };
         }
         h
-    }
-
-    pub(crate) fn from_parts(points: &'a PointSet, nodes: Vec<Node>, root: Option<u32>) -> Self {
-        let len = points.len();
-        Self {
-            points,
-            nodes,
-            root,
-            len,
-        }
     }
 
     fn range_recursive(&self, node: u32, query: &[f64], eps_sq: f64, out: &mut Vec<PointId>) {
@@ -257,7 +156,7 @@ impl RangeIndex for RStarTree<'_> {
     }
 
     fn len(&self) -> usize {
-        self.len
+        self.points.len()
     }
 }
 
@@ -307,31 +206,6 @@ mod tests {
     }
 
     #[test]
-    fn incremental_insert_matches_linear_scan() {
-        let ps = random_points(400, 3, 77);
-        let mut tree = RStarTree::new(&ps);
-        for id in 0..ps.len() as u32 {
-            tree.insert(id);
-        }
-        assert_eq!(tree.len(), 400);
-        check_against_oracle(&tree, &ps, 29);
-    }
-
-    #[test]
-    fn incremental_insert_sorted_order_stays_correct() {
-        // Sorted insertion is the classic worst case for R-trees.
-        let rows: Vec<Vec<f64>> = (0..300)
-            .map(|i| vec![i as f64, (i * i % 37) as f64])
-            .collect();
-        let ps = PointSet::from_rows(&rows);
-        let mut tree = RStarTree::new(&ps);
-        for id in 0..ps.len() as u32 {
-            tree.insert(id);
-        }
-        check_against_oracle(&tree, &ps, 31);
-    }
-
-    #[test]
     fn empty_and_tiny_trees() {
         let ps = PointSet::new(2);
         let tree = RStarTree::build(&ps);
@@ -351,17 +225,5 @@ mod tests {
         let tree = RStarTree::build(&ps);
         // 5000 / 32 = 157 leaves; two more levels suffice at fanout 32.
         assert!(tree.height() <= 4, "height {} too tall", tree.height());
-    }
-
-    #[test]
-    fn nodes_respect_fanout_after_inserts() {
-        let ps = random_points(600, 2, 13);
-        let mut tree = RStarTree::new(&ps);
-        for id in 0..ps.len() as u32 {
-            tree.insert(id);
-        }
-        for node in &tree.nodes {
-            assert!(node.entry_count() <= RStarTree::MAX_ENTRIES);
-        }
     }
 }

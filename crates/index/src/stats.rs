@@ -32,9 +32,9 @@ impl QueryStats {
 /// both algorithms' indexes in `CountingIndex` lets the Table II harness
 /// verify that claim empirically. Counters use relaxed [`AtomicU64`]s so the
 /// wrapper stays usable behind the `&self` query interface *and* stays
-/// `Sync` — parallel DBSCAN and the threaded k-dist scan query a shared
-/// index from scoped threads, and the totals must still come out exact
-/// (each query increments once; no ordering between queries is needed).
+/// `Sync` — parallel DBSCAN queries a shared index from scoped threads,
+/// and the totals must still come out exact (each query increments once;
+/// no ordering between queries is needed).
 pub struct CountingIndex<I> {
     inner: I,
     queries: AtomicU64,

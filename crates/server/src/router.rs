@@ -90,11 +90,13 @@ impl Shard {
     }
 }
 
-/// One served model: a name, the snapshot it was loaded from, and its
-/// shards.
+/// One served model: a name, the snapshot it was loaded from, its
+/// dimensionality, and its shards.
 pub struct ModelEntry {
     name: String,
     path: PathBuf,
+    /// Fixed by the artifact, so request parsing reads it without a lock.
+    dims: usize,
     shards: Vec<Mutex<Shard>>,
 }
 
@@ -264,6 +266,7 @@ impl Router {
         self.models.push(ModelEntry {
             name,
             path: path.into(),
+            dims: artifact.dims(),
             shards: entries,
         });
     }
@@ -313,8 +316,7 @@ impl Router {
         cost: &mut RouteCost,
     ) -> Result<(Json, u64), HttpError> {
         let entry = self.entry(name)?;
-        let dims = entry.shards[0].lock().unwrap().engine.dims();
-        let parsed = parse_points_body(body, dims)?;
+        let parsed = parse_points_body(body, entry.dims)?;
         let n = parsed.rows.len();
         let shard_count = entry.shards.len();
         // Group row indices per shard, then take each shard lock once.
@@ -376,8 +378,7 @@ impl Router {
         cost: &mut RouteCost,
     ) -> Result<(Json, u64), HttpError> {
         let entry = self.entry(name)?;
-        let dims = entry.shards[0].lock().unwrap().engine.dims();
-        let parsed = parse_points_body(body, dims)?;
+        let parsed = parse_points_body(body, entry.dims)?;
         let n = parsed.rows.len();
         let shard_count = entry.shards.len();
         let mut groups: Vec<Vec<usize>> = vec![Vec::new(); shard_count];
@@ -445,8 +446,7 @@ impl Router {
         cost: &mut RouteCost,
     ) -> Result<(Json, u64), HttpError> {
         let entry = self.entry(name)?;
-        let dims = entry.shards[0].lock().unwrap().engine.dims();
-        let parsed = parse_points_body(body, dims)?;
+        let parsed = parse_points_body(body, entry.dims)?;
         let n = parsed.rows.len();
         let shard_count = entry.shards.len();
         let mut groups: Vec<Vec<usize>> = vec![Vec::new(); shard_count];
@@ -561,10 +561,10 @@ impl Router {
     }
 
     /// Builds the aggregate metrics registry across every shard of every
-    /// model: counters from summed [`EngineStats`], gauges from folded
-    /// health, per-call latency histograms merged shard by shard. When the
-    /// router serves exactly one shard, its monitor's drift gauges ride
-    /// along too.
+    /// model: counters (quality windows and drift alerts included) from
+    /// summed [`EngineStats`], gauges from folded health, per-call latency
+    /// histograms merged shard by shard. When the router serves exactly
+    /// one shard, its monitor's drift gauges ride along too.
     pub fn aggregate_metrics(&self) -> EngineMetrics {
         let mut agg = EngineMetrics::new();
         let mut stats = EngineStats::default();
@@ -588,6 +588,8 @@ impl Router {
                 stats.demotions += s.demotions;
                 stats.splits += s.splits;
                 stats.tree_rebuilds += s.tree_rebuilds;
+                stats.quality_windows += s.quality_windows;
+                stats.drift_alerts += s.drift_alerts;
                 health = fold_health(health, shard.engine.health());
                 writes += shard.snapshot_writes;
                 loads += shard.snapshot_loads;

@@ -7,7 +7,7 @@
 use dbsvec_core::Clustering;
 use dbsvec_engine::{ModelArtifact, MonitorConfig};
 use dbsvec_geometry::PointSet;
-use dbsvec_server::Router;
+use dbsvec_server::{point_shard, Router};
 
 /// Two rows of five cores (y = 0 and y = 100), ε = 1.5, MinPts = 3,
 /// with the fit-time quality baseline taken from the cores themselves.
@@ -107,4 +107,47 @@ fn monitored_shard_windows_alerts_and_reports_exact_values() {
     assert_eq!(reg.counter_value("dbsvec_ingests_total"), Some(4));
     assert_eq!(agg.assign_latency().histogram().count(), 8);
     assert_eq!(agg.ingest_latency().histogram().count(), 4);
+}
+
+#[test]
+fn monitored_shards_sum_their_window_and_alert_counts() {
+    let mut router = Router::new();
+    router.add_model(
+        "m",
+        "m.dbm",
+        &baselined_artifact(),
+        2,
+        Some(
+            MonitorConfig::new()
+                .with_window(4)
+                .with_drift_threshold(0.3)
+                .with_ewma_alpha(1.0),
+        ),
+    );
+
+    // 32 points far from every core. Each shard windows the noise it is
+    // routed on its own, and every all-noise window alerts.
+    let rows: Vec<[f64; 2]> = (0..32).map(|i| [50.0 + 3.0 * i as f64, 50.0]).collect();
+    let per_shard = rows.iter().fold([0u64; 2], |mut n, r| {
+        n[point_shard(r, 2)] += 1;
+        n
+    });
+    assert_eq!(per_shard, [15, 17]);
+    let body = format!(
+        "{{\"points\":[{}]}}",
+        rows.iter()
+            .map(|r| format!("[{:?},{:?}]", r[0], r[1]))
+            .collect::<Vec<_>>()
+            .join(",")
+    );
+    let (_, n) = router.assign("m", body.as_bytes()).unwrap();
+    assert_eq!(n, 32);
+
+    // 15 / 4 + 17 / 4 = 3 + 4 windows, each raising one alert.
+    let agg = router.aggregate_metrics();
+    let reg = agg.registry();
+    assert_eq!(reg.counter_value("dbsvec_quality_windows_total"), Some(7));
+    assert_eq!(reg.counter_value("dbsvec_drift_alerts_total"), Some(7));
+    assert_eq!(reg.gauge_value("dbsvec_refit_recommended"), Some(1.0));
+    assert_eq!(reg.counter_value("dbsvec_assigns_total"), Some(32));
 }

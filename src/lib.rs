@@ -30,7 +30,7 @@
 //! | re-export | crate | contents |
 //! |---|---|---|
 //! | [`geometry`] | `dbsvec-geometry` | [`PointSet`], distance kernels, bounding boxes |
-//! | [`index`] | `dbsvec-index` | linear scan, kd-tree, R\*-tree, ball-tree, grid range-query engines; k-distance profiles |
+//! | [`index`] | `dbsvec-index` | linear scan, kd-tree and R\*-tree range-query engines; k-distance profiles |
 //! | [`svdd`] | `dbsvec-svdd` | weighted SVDD trained by a from-scratch SMO solver; 2-D boundary extraction |
 //! | [`core`] | `dbsvec-core` | the DBSVEC algorithm, its ablation variants, out-of-sample prediction |
 //! | [`lsh`] | `dbsvec-lsh` | p-stable LSH substrate |

@@ -3,7 +3,7 @@
 
 use dbsvec::baselines::{Dbscan, DbscanLsh, KMeans, NqDbscan, RhoApproxDbscan};
 use dbsvec::datasets::{gaussian_mixture, random_walk_clusters, RandomWalkConfig};
-use dbsvec::index::{GridIndex, KdTree, LinearScan, RStarTree};
+use dbsvec::index::{KdTree, LinearScan, RStarTree};
 use dbsvec::metrics::recall;
 
 #[test]
@@ -19,12 +19,8 @@ fn dbscan_is_index_invariant() {
     let via_rstar = algo
         .fit_with_index(&ds.points, &RStarTree::build(&ds.points))
         .clustering;
-    let via_grid = algo
-        .fit_with_index(&ds.points, &GridIndex::build(&ds.points, 2500.0))
-        .clustering;
     assert_eq!(reference, via_kd);
     assert_eq!(reference, via_rstar);
-    assert_eq!(reference, via_grid);
 }
 
 #[test]

@@ -1,11 +1,12 @@
-//! Integration tests for the beyond-the-paper extensions: ball tree,
-//! FDBSCAN, parallel DBSCAN, HDBSCAN, out-of-sample prediction, and the
-//! SVDD boundary extraction — exercised together through the facade.
+//! Integration tests for the beyond-the-paper extensions: FDBSCAN,
+//! parallel DBSCAN, HDBSCAN, out-of-sample prediction, and the SVDD
+//! boundary extraction — exercised together through the facade — plus
+//! DBSVEC answered by a second exact index engine.
 
 use dbsvec::baselines::{Dbscan, FDbscan, Hdbscan, ParallelDbscan};
 use dbsvec::core::ClusterModel;
 use dbsvec::datasets::{gaussian_mixture, two_moons};
-use dbsvec::index::BallTree;
+use dbsvec::index::KdTree;
 use dbsvec::metrics::{pair_f1, recall};
 use dbsvec::svdd::{
     decision_boundary_around_targets, kernel_width_center_radius, GaussianKernel, SvddProblem,
@@ -13,18 +14,18 @@ use dbsvec::svdd::{
 use dbsvec::{Dbsvec, DbsvecConfig};
 
 #[test]
-fn dbsvec_over_a_ball_tree_matches_the_rtree_run() {
+fn dbsvec_over_a_kd_tree_matches_the_rtree_run() {
     let ds = gaussian_mixture(1500, 16, 5, 900.0, 1e5, 3);
     let eps = dbsvec::datasets::standins::suggest_eps(&ds.points, 8, 1);
     let config = DbsvecConfig::new(eps, 8);
     let via_rtree = Dbsvec::new(config.clone()).fit(&ds.points);
-    let ball = BallTree::build(&ds.points);
-    let via_ball = Dbsvec::new(config).fit_with_index(&ds.points, &ball);
+    let kd = KdTree::build(&ds.points);
+    let via_kd = Dbsvec::new(config).fit_with_index(&ds.points, &kd);
     // Exact engines => identical clusterings. (Run *statistics* may differ
     // in the last few support vectors: engines report neighbors in
     // different orders, which perturbs SMO tie-breaks.)
-    assert_eq!(via_rtree.labels(), via_ball.labels());
-    let (a, b) = (via_rtree.stats(), via_ball.stats());
+    assert_eq!(via_rtree.labels(), via_kd.labels());
+    let (a, b) = (via_rtree.stats(), via_kd.stats());
     assert_eq!(a.seeds, b.seeds);
     assert!(
         (a.range_queries as f64 - b.range_queries as f64).abs() <= 0.05 * a.range_queries as f64

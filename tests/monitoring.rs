@@ -62,11 +62,11 @@ fn monitored_serving_separates_drift_and_replays_from_the_trace() {
         engine.assign(p);
     }
     let monitor = engine.monitor().unwrap();
+    let stats = engine.stats();
     let expected_windows = (points.len() / WINDOW) as u64;
-    assert_eq!(monitor.windows_completed(), expected_windows);
+    assert_eq!(stats.quality_windows, expected_windows);
     assert_eq!(
-        monitor.alerts(),
-        0,
+        stats.drift_alerts, 0,
         "in-distribution traffic must not alert"
     );
     assert!(!monitor.drift_exceeded());
@@ -89,8 +89,12 @@ fn monitored_serving_separates_drift_and_replays_from_the_trace() {
         engine.assign_observed(p, &mut Tee(&mut recorder, &mut sink));
     }
     let monitor = engine.monitor().unwrap();
-    assert_eq!(monitor.windows_completed(), expected_windows);
-    assert!(monitor.alerts() > 0, "a population shift must raise alerts");
+    let stats = engine.stats();
+    assert_eq!(stats.quality_windows, expected_windows);
+    assert!(
+        stats.drift_alerts > 0,
+        "a population shift must raise alerts"
+    );
     assert!(monitor.drift_exceeded());
     let health = engine.health();
     assert!(
@@ -101,8 +105,8 @@ fn monitored_serving_separates_drift_and_replays_from_the_trace() {
     let text = String::from_utf8(sink.finish().expect("in-memory sink cannot fail"))
         .expect("trace is UTF-8");
     let replayed = ReplayCounts::from_jsonl(&text).expect("trace replays");
-    assert_eq!(replayed.quality_windows, monitor.windows_completed());
-    assert_eq!(replayed.drift_alerts, monitor.alerts());
+    assert_eq!(replayed.quality_windows, stats.quality_windows);
+    assert_eq!(replayed.drift_alerts, stats.drift_alerts);
     assert_eq!(replayed, recorder.replay(), "sink and recorder agree");
 }
 
@@ -126,11 +130,9 @@ fn baseline_less_model_monitors_in_degraded_mode() {
         engine.assign(p);
     }
     let monitor = engine.monitor().unwrap();
-    assert_eq!(
-        monitor.windows_completed(),
-        (ds.points.len() / WINDOW) as u64
-    );
-    assert_eq!(monitor.alerts(), 0, "no baseline, no drift evidence");
+    let stats = engine.stats();
+    assert_eq!(stats.quality_windows, (ds.points.len() / WINDOW) as u64);
+    assert_eq!(stats.drift_alerts, 0, "no baseline, no drift evidence");
     assert!(!monitor.drift_exceeded());
     assert!(monitor.signals().is_none());
     let health = engine.health();
@@ -158,8 +160,8 @@ fn threaded_monitored_batches_window_like_a_per_query_loop() {
         .collect();
     let monitor = engine.monitor().unwrap();
     let expected_signals = monitor.signals().expect("windows completed");
-    let expected_windows = monitor.windows_completed();
-    let expected_alerts = monitor.alerts();
+    let expected_windows = engine.stats().quality_windows;
+    let expected_alerts = engine.stats().drift_alerts;
     assert_eq!(expected_windows, 15);
     assert!(expected_alerts > 0, "the shift must raise alerts");
     let expected_events: Vec<Event> = expected.events().cloned().collect();
@@ -182,8 +184,8 @@ fn threaded_monitored_batches_window_like_a_per_query_loop() {
             Some(expected_signals),
             "{threads} threads"
         );
-        assert_eq!(monitor.windows_completed(), expected_windows);
-        assert_eq!(monitor.alerts(), expected_alerts);
+        assert_eq!(engine.stats().quality_windows, expected_windows);
+        assert_eq!(engine.stats().drift_alerts, expected_alerts);
         assert_eq!(metrics.assign_latency().histogram().count(), 1_500);
     }
 }

@@ -7,7 +7,7 @@ use dbsvec::baselines::Dbscan;
 use dbsvec::engine::{Assignment, Engine, ModelArtifact};
 use dbsvec::geometry::rng::SplitMix64;
 use dbsvec::geometry::squared_euclidean;
-use dbsvec::index::{GridIndex, KdTree, LinearScan, RStarTree, RangeIndex};
+use dbsvec::index::{KdTree, LinearScan, RStarTree, RangeIndex};
 use dbsvec::metrics::{adjusted_rand_index, recall};
 use dbsvec::svdd::{GaussianKernel, SvddProblem};
 use dbsvec::{Dbsvec, DbsvecConfig, PointSet};
@@ -65,31 +65,6 @@ fn all_indexes_agree_with_linear_scan() {
         let mut rstar = RStarTree::build(&ps).range_vec(&query, eps);
         rstar.sort_unstable();
         assert_eq!(rstar, expected);
-
-        let mut grid = GridIndex::build(&ps, eps.max(1.0)).range_vec(&query, eps);
-        grid.sort_unstable();
-        assert_eq!(grid, expected);
-    }
-}
-
-#[test]
-fn incremental_rstar_agrees_with_bulk_load() {
-    let mut rng = SplitMix64::new(0xF002);
-    for _ in 0..64 {
-        let ps = point_set(&mut rng, 80, 3);
-        let bulk = RStarTree::build(&ps);
-        let mut incremental = RStarTree::new(&ps);
-        for id in 0..ps.len() as u32 {
-            incremental.insert(id);
-        }
-        let query = vec![0.0; ps.dims()];
-        for eps in [1.0, 10.0, 50.0, 200.0] {
-            let mut a = bulk.range_vec(&query, eps);
-            let mut b = incremental.range_vec(&query, eps);
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b);
-        }
     }
 }
 
