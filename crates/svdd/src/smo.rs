@@ -196,7 +196,12 @@ impl KernelRows {
             kernel,
             columns,
             point: vec![0.0; points.dims()],
-            slab: Vec::with_capacity(capacity * n),
+            // Grown as rows fill, not reserved up front: solves fill far
+            // fewer rows than the cap, and freeing a reserved
+            // `capacity · ñ` block (20 MB at ñ = 5,152) raises the
+            // allocator's adaptive mmap threshold, so peak RSS ratchets up
+            // fit after fit.
+            slab: Vec::new(),
             slot_of: vec![None; n],
             owner: Vec::with_capacity(capacity),
             last_use: Vec::with_capacity(capacity),
