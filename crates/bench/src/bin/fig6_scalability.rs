@@ -26,13 +26,12 @@
 //! Passing `--threads N` switches to the **parallel-fit sweep** instead:
 //! DBSVEC alone, at thread counts 1, 2, 4, … up to N, on one d=8 workload.
 //! Labels are asserted identical to the single-threaded baseline, and the
-//! total-fit and R\*-tree bulk-load speedups land in
-//! `BENCH_fit_parallel.json`.
+//! total-fit speedups land in `BENCH_fit_parallel.json`.
 
 use std::collections::HashSet;
 use std::time::Duration;
 
-use dbsvec_bench::harness::{fmt_secs, time, Stopwatch};
+use dbsvec_bench::harness::{fmt_secs, Stopwatch};
 use dbsvec_bench::{
     parse_args, run_algorithm_profiled, run_dbsvec_config_profiled, run_dbsvec_threads_profiled,
     Algorithm, BenchArgs, JsonReport, RunOutcome,
@@ -40,14 +39,11 @@ use dbsvec_bench::{
 use dbsvec_core::DbsvecConfig;
 use dbsvec_datasets::{random_walk_clusters, OpenDataset, RandomWalkConfig, RandomWalkStream};
 use dbsvec_geometry::PointSet;
-use dbsvec_index::RStarTree;
 use dbsvec_metrics::adjusted_rand_index;
 use dbsvec_obs::Json;
 
 const EPS: f64 = 5000.0;
 const MIN_PTS: usize = 100;
-/// Bulk loads timed per thread count in the parallel-fit sweep.
-const BUILD_REPS: usize = 3;
 
 fn main() {
     let args = parse_args();
@@ -86,24 +82,13 @@ fn main() {
     report.write_if_requested(&args);
 }
 
-/// Best of [`BUILD_REPS`] wall times of the threaded STR bulk load
-/// (`RStarTree::build_threaded`), the stage the fit's thread budget speeds
-/// up on exact fits. It stays on the calling thread below 2¹⁶ points
-/// (`--scale` under 0.14), and its workers split the first dimension's
-/// slabs, of which d = 8 sets below 10⁶ points have only three or four, so
-/// the build speedup shows at `--scale 1` (n = 5·10⁵).
-fn build_secs(points: &PointSet, threads: usize) -> f64 {
-    (0..BUILD_REPS)
-        .map(|_| time(|| RStarTree::build_threaded(points, threads)).1)
-        .fold(f64::INFINITY, f64::min)
-}
-
 /// The parallel-fit sweep (`--threads N`): DBSVEC alone at 1, 2, 4, … N
 /// worker threads on one d=8 random-walk workload, asserting that every
 /// thread count reproduces the single-threaded labels and stats exactly.
-/// Each row reports the whole fit's speedup and the bulk load's, timed on
-/// its own. Support vector expansion runs on the calling thread, so its
-/// time does not move with the thread count. Writes
+/// Each row reports the whole fit's speedup. The thread budget drives only
+/// the sampled fit's attachment pass, so this exact fit runs on the calling
+/// thread at every count and the speedup stays near 1: the sweep checks
+/// thread-count invariance and records what the budget costs. Writes
 /// `BENCH_fit_parallel.json` when `--json DIR` is given.
 fn fit_parallel(args: &BenchArgs, max_threads: usize) {
     let max_threads = max_threads.max(1);
@@ -128,16 +113,12 @@ fn fit_parallel(args: &BenchArgs, max_threads: usize) {
     }
 
     let mut report = JsonReport::new("fit_parallel");
-    let mut baseline: Option<(RunOutcome, f64)> = None;
-    println!(
-        "{:>8} {:>11} {:>14} {:>11} {:>14}",
-        "threads", "total", "speedup_vs_1", "build", "build_spdup"
-    );
+    let mut baseline: Option<RunOutcome> = None;
+    println!("{:>8} {:>11} {:>14}", "threads", "total", "speedup_vs_1");
     for &threads in &counts {
         let out = run_dbsvec_threads_profiled(&ds.points, EPS, MIN_PTS, threads);
-        let build = build_secs(&ds.points, threads);
-        let (base_secs, base_build) = match &baseline {
-            Some((base, base_build)) => {
+        let base_secs = match &baseline {
+            Some(base) => {
                 assert_eq!(
                     base.clustering, out.clustering,
                     "threads={threads} changed the labels"
@@ -146,27 +127,23 @@ fn fit_parallel(args: &BenchArgs, max_threads: usize) {
                     base.counts, out.counts,
                     "threads={threads} changed the replayed counters"
                 );
-                (base.seconds, *base_build)
+                base.seconds
             }
-            None => (out.seconds, build),
+            None => out.seconds,
         };
         let speedup = if out.seconds > 0.0 {
             base_secs / out.seconds
         } else {
             1.0
         };
-        let build_speedup = if build > 0.0 { base_build / build } else { 1.0 };
         println!(
-            "{threads:>8} {:>11} {speedup:>14.2} {:>11} {build_speedup:>14.2}",
+            "{threads:>8} {:>11} {speedup:>14.2}",
             fmt_secs(Some(out.seconds)),
-            fmt_secs(Some(build)),
         );
         let mut extras = vec![
             ("threads".to_string(), Json::UInt(threads as u64)),
             ("hardware_threads".to_string(), Json::UInt(hardware as u64)),
             ("speedup_vs_1".to_string(), Json::Num(speedup)),
-            ("build_secs".to_string(), Json::Num(build)),
-            ("build_speedup_vs_1".to_string(), Json::Num(build_speedup)),
         ];
         if hardware == 1 {
             extras.push((
@@ -180,15 +157,15 @@ fn fit_parallel(args: &BenchArgs, max_threads: usize) {
         }
         report.push_with_extras("fit_parallel", threads as f64, &out, extras);
         if baseline.is_none() {
-            baseline = Some((out, build));
+            baseline = Some(out);
         }
     }
     if hardware == 1 {
         println!("note: single hardware thread — speedup not expected; sweep verifies determinism");
     } else {
         println!(
-            "threaded stages: the R*-tree bulk load (from 2^16 points) and the sampled \
-             attachment pass; expansion stays on the calling thread"
+            "threaded stage: the sampled attachment pass only; this exact fit runs on the \
+             calling thread at every count"
         );
     }
     report.write_if_requested(args);

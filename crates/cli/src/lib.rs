@@ -100,9 +100,9 @@ DATASETS (for --dataset):
 Omitting --eps derives it from the k-distance knee (Schubert et al. 2017);
 omitting --min-pts uses a cardinality-based default.
 
-fit --threads N runs the R*-tree bulk load (from 65,536 points) and the
-sampled attachment pass on N worker threads (0 = all cores, the default;
-1 = no worker threads); support vector expansion always runs on one thread.
+fit --threads N runs the sampled attachment pass on N worker threads
+(0 = all cores, the default; 1 = no worker threads); the index build and
+support vector expansion always run on one thread, so an exact fit does too.
 Labels, stats, and traces are identical at every N.
 fit --cold-start turns off the SMO solver's warm start (reusing the previous
 round's alphas); labels are identical either way.

@@ -18,13 +18,11 @@ pub enum NuStrategy {
 
 /// Thread budget for the fit.
 ///
-/// Two coarse fit stages fan out across scoped threads: the R\*-tree bulk
-/// load behind [`crate::Dbsvec::fit`] (via `RStarTree::build_threaded`,
-/// which stays on the calling thread below 2¹⁶ points) and the sampled
-/// fit's attachment pass. Seeding, support vector expansion with its range
-/// queries, and every SMO solve run on the calling thread: an expansion
-/// round queries only its few core support vectors, too few to pay for
-/// spawning workers. Results are **bit identical at every thread count** —
+/// It drives one stage: the sampled fit's attachment pass, whose
+/// nearest-core lookups fan out across scoped threads. The index build,
+/// seeding, support vector expansion with its range queries, and every
+/// SMO solve run on the calling thread, so an exact fit runs on one thread
+/// at every budget. Results are **bit identical at every thread count** —
 /// workers only evaluate pure functions, and all state mutation happens on
 /// the calling thread in a fixed order. `threads == 1` spawns no thread.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -135,9 +133,9 @@ pub struct DbsvecConfig {
     pub kernel_width: KernelWidthStrategy,
     /// SMO solver options.
     pub smo: SmoOptions,
-    /// Thread budget for the R\*-tree bulk load and the sampled attachment
-    /// pass (see [`ParallelConfig`]). Defaults to all available cores;
-    /// results are identical at every setting.
+    /// Thread budget for the sampled attachment pass (see
+    /// [`ParallelConfig`]). Defaults to all available cores; results are
+    /// identical at every setting.
     pub parallel: ParallelConfig,
     /// Core-candidate subsampling (default: `Exact`, the full fit).
     /// Seeding and support-vector expansion restrict themselves to the

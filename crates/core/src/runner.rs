@@ -37,11 +37,11 @@ pub(crate) struct RunState<'a, I: RangeIndex> {
     /// re-selecting the same boundary points across rounds.
     pub queried: Vec<bool>,
     /// Core-candidacy mask for the sampled fit mode: `None` means every
-    /// point is a candidate (the exact fit). Non-candidates are never
-    /// seeded, never queried by expansion, and can never test core — they
-    /// end the main loop clustered (absorbed from a candidate's
-    /// neighborhood) or unclassified, and the attachment pass resolves the
-    /// latter.
+    /// point is a candidate (the exact fit). Non-candidates never seed,
+    /// never enter an SVDD target set (so expansion never queries them),
+    /// and can never test core — they end the main loop clustered
+    /// (absorbed from a candidate's neighborhood) or unclassified, and the
+    /// attachment pass resolves the latter.
     pub candidates: Option<Vec<bool>>,
     /// Worker count for the sampled attachment pass (`batch_nearest_cores`),
     /// resolved once from `config.parallel`. Expansion's range queries and

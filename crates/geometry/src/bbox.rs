@@ -54,14 +54,7 @@ impl BoundingBox {
     /// Grows the box so it covers `p`.
     pub fn expand_to_point(&mut self, p: &[f64]) {
         debug_assert_eq!(p.len(), self.dims());
-        for ((lo, hi), &x) in self.min.iter_mut().zip(&mut self.max).zip(p) {
-            if x < *lo {
-                *lo = x;
-            }
-            if x > *hi {
-                *hi = x;
-            }
-        }
+        expand_to_point(&mut self.min, &mut self.max, p);
     }
 
     /// Grows the box so it covers `other`.
@@ -96,18 +89,7 @@ impl BoundingBox {
     #[inline]
     pub fn min_squared_distance(&self, p: &[f64]) -> f64 {
         debug_assert_eq!(p.len(), self.dims());
-        let mut acc = 0.0;
-        for ((lo, hi), &x) in self.min.iter().zip(&self.max).zip(p) {
-            let diff = if x < *lo {
-                *lo - x
-            } else if x > *hi {
-                x - *hi
-            } else {
-                0.0
-            };
-            acc += diff * diff;
-        }
-        acc
+        min_squared_distance(&self.min, &self.max, p)
     }
 
     /// Squared distance from `p` to the farthest point of the box.
@@ -118,12 +100,7 @@ impl BoundingBox {
     #[inline]
     pub fn max_squared_distance(&self, p: &[f64]) -> f64 {
         debug_assert_eq!(p.len(), self.dims());
-        let mut acc = 0.0;
-        for ((lo, hi), &x) in self.min.iter().zip(&self.max).zip(p) {
-            let diff = (x - *lo).abs().max((x - *hi).abs());
-            acc += diff * diff;
-        }
-        acc
+        max_squared_distance(&self.min, &self.max, p)
     }
 
     /// The sum of edge lengths ("margin"), a cheap size measure: the
@@ -140,6 +117,53 @@ impl BoundingBox {
             .map(|(lo, hi)| 0.5 * (lo + hi))
             .collect()
     }
+}
+
+// The box arithmetic on bare corner slices, for indexes that keep their
+// boxes in flat arrays. `BoundingBox` delegates here, so both forms give
+// bit-identical answers.
+
+/// Grows the box with corners `min` and `max` so it covers `p`.
+#[inline]
+pub fn expand_to_point(min: &mut [f64], max: &mut [f64], p: &[f64]) {
+    for ((lo, hi), &x) in min.iter_mut().zip(max).zip(p) {
+        if x < *lo {
+            *lo = x;
+        }
+        if x > *hi {
+            *hi = x;
+        }
+    }
+}
+
+/// [`BoundingBox::min_squared_distance`] of the box with corners `min` and
+/// `max`.
+#[inline]
+pub fn min_squared_distance(min: &[f64], max: &[f64], p: &[f64]) -> f64 {
+    let mut acc = 0.0;
+    for ((lo, hi), &x) in min.iter().zip(max).zip(p) {
+        let diff = if x < *lo {
+            *lo - x
+        } else if x > *hi {
+            x - *hi
+        } else {
+            0.0
+        };
+        acc += diff * diff;
+    }
+    acc
+}
+
+/// [`BoundingBox::max_squared_distance`] of the box with corners `min` and
+/// `max`.
+#[inline]
+pub fn max_squared_distance(min: &[f64], max: &[f64], p: &[f64]) -> f64 {
+    let mut acc = 0.0;
+    for ((lo, hi), &x) in min.iter().zip(max).zip(p) {
+        let diff = (x - *lo).abs().max((x - *hi).abs());
+        acc += diff * diff;
+    }
+    acc
 }
 
 #[cfg(test)]

@@ -5,11 +5,15 @@
 //!
 //! * split dimension = widest extent of the node's bounding box (rather than
 //!   cycling dimensions, which degenerates on anisotropic data),
-//! * split position = median, found with `select_nth_unstable_by` in O(n)
-//!   per level, giving O(n log n) total build time,
+//! * split position = median, selected in O(n) per level on a dense copy
+//!   of the split coordinates (one scratch for the whole build; same
+//!   comparisons, same outcomes, same permutation as selecting the ids
+//!   through the point rows), giving O(n log n) total build time,
 //! * leaves hold up to [`KdTree::LEAF_SIZE`] points that are scanned
 //!   linearly — small leaves waste tree overhead, large leaves waste
-//!   distance computations; 16 is the conventional sweet spot.
+//!   distance computations; 16 is the conventional sweet spot,
+//! * nodes are plain structs in one array and their boxes sit in one flat
+//!   `Vec<f64>`, so a build allocates no memory per node.
 //!
 //! Range queries prune subtrees whose bounding box is farther than ε from
 //! the query and *bulk-report* subtrees that lie entirely inside the query
@@ -31,76 +35,122 @@
 //!   serving engine that must hold the index without tying it to an outside
 //!   allocation, and rebuild it as points arrive.
 
+use crate::keyed::KeyedSort;
 use crate::traits::RangeIndex;
-use dbsvec_geometry::{BoundingBox, PointId, PointSet};
+use dbsvec_geometry::{bbox, PointId, PointSet};
 
-#[derive(Clone, Debug)]
-enum Node {
-    Leaf {
-        bbox: BoundingBox,
-        /// Range into `TreeCore::ids`.
-        start: u32,
-        end: u32,
-    },
-    Inner {
-        bbox: BoundingBox,
-        left: u32,
-        right: u32,
-    },
+/// One tree node. Every node, inner ones included, owns the contiguous run
+/// `ids[start..end]` of the points under it.
+#[derive(Clone, Copy, Debug)]
+struct Node {
+    start: u32,
+    end: u32,
+    /// `(left, right)` child node ids; `None` for a leaf.
+    children: Option<(u32, u32)>,
 }
 
-impl Node {
-    fn bbox(&self) -> &BoundingBox {
-        match self {
-            Node::Leaf { bbox, .. } | Node::Inner { bbox, .. } => bbox,
-        }
-    }
-}
-
-/// The point-set-agnostic half of the tree: nodes, the leaf-permuted id
-/// array, and the traversal routines. Both tree wrappers delegate here,
-/// passing in whichever `PointSet` they hold.
+/// The point-set-agnostic half of the tree: nodes, their boxes, the
+/// leaf-permuted id array, and the traversal routines. Both tree wrappers
+/// delegate here, passing in whichever `PointSet` they hold.
 #[derive(Clone, Debug)]
 struct TreeCore {
+    /// Nodes in pre-order: the root is node 0.
     nodes: Vec<Node>,
-    /// Point ids permuted so each leaf owns a contiguous range.
+    /// Node boxes, `2·dims` values per node: node `k`'s lower corner at
+    /// `boxes[2·dims·k..][..dims]`, its upper corner right after.
+    boxes: Vec<f64>,
+    dims: usize,
+    /// Point ids permuted so each node owns a contiguous range.
     ids: Vec<PointId>,
-    root: Option<u32>,
 }
 
 impl TreeCore {
     fn build(points: &PointSet) -> Self {
-        let mut ids: Vec<PointId> = (0..points.len() as u32).collect();
-        let mut nodes = Vec::new();
-        let root = if ids.is_empty() {
-            None
-        } else {
-            let n = ids.len();
-            Some(build_recursive(points, &mut ids, 0, n, &mut nodes))
+        let n = points.len();
+        let mut core = Self {
+            nodes: Vec::new(),
+            boxes: Vec::new(),
+            dims: points.dims(),
+            ids: (0..n as u32).collect(),
         };
-        Self { nodes, ids, root }
+        if n > 0 {
+            // One key scratch serves every median selection of the build.
+            core.build_node(points, 0, n, &mut KeyedSort::default());
+        }
+        core
+    }
+
+    /// Builds the subtree over the non-empty run `ids[start..end]` and
+    /// returns its root: a leaf of at most [`KdTree::LEAF_SIZE`] points, or
+    /// a split at the median of the box's widest dimension.
+    fn build_node(
+        &mut self,
+        points: &PointSet,
+        start: usize,
+        end: usize,
+        sort: &mut KeyedSort,
+    ) -> u32 {
+        let node = self.nodes.len() as u32;
+        self.nodes.push(Node {
+            start: start as u32,
+            end: end as u32,
+            children: None,
+        });
+        let at = self.boxes.len();
+        let first = points.point(self.ids[start]);
+        self.boxes.extend_from_slice(first);
+        self.boxes.extend_from_slice(first);
+        let (lo, hi) = self.boxes[at..].split_at_mut(self.dims);
+        for &id in &self.ids[start + 1..end] {
+            bbox::expand_to_point(lo, hi, points.point(id));
+        }
+        let len = end - start;
+        if len <= KdTree::LEAF_SIZE {
+            return node;
+        }
+        let dim = widest_dimension(lo, hi);
+        let mid = len / 2;
+        sort.select_nth(&mut self.ids[start..end], mid, |id| points.point(id)[dim]);
+        let left = self.build_node(points, start, start + mid, sort);
+        let right = self.build_node(points, start + mid, end, sort);
+        self.nodes[node as usize].children = Some((left, right));
+        node
+    }
+
+    /// Node `node`'s box as (lower corner, upper corner).
+    #[inline]
+    fn corners(&self, node: u32) -> (&[f64], &[f64]) {
+        let d = self.dims;
+        self.boxes[2 * d * node as usize..][..2 * d].split_at(d)
+    }
+
+    /// Squared distance from `query` to the nearest point of `node`'s box.
+    #[inline]
+    fn min_sq(&self, node: u32, query: &[f64]) -> f64 {
+        let (lo, hi) = self.corners(node);
+        bbox::min_squared_distance(lo, hi, query)
+    }
+
+    /// Squared distance from `query` to the farthest point of `node`'s box.
+    #[inline]
+    fn max_sq(&self, node: u32, query: &[f64]) -> f64 {
+        let (lo, hi) = self.corners(node);
+        bbox::max_squared_distance(lo, hi, query)
     }
 
     fn range(&self, points: &PointSet, query: &[f64], eps: f64, out: &mut Vec<PointId>) {
-        if let Some(root) = self.root {
-            let eps_sq = eps * eps;
-            if self.nodes[root as usize].bbox().min_squared_distance(query) <= eps_sq {
-                self.range_recursive(points, root, query, eps_sq, out);
-            }
+        let eps_sq = eps * eps;
+        if !self.nodes.is_empty() && self.min_sq(0, query) <= eps_sq {
+            self.range_recursive(points, 0, query, eps_sq, out);
         }
     }
 
     fn count_range(&self, points: &PointSet, query: &[f64], eps: f64) -> usize {
-        match self.root {
-            Some(root) => {
-                let eps_sq = eps * eps;
-                if self.nodes[root as usize].bbox().min_squared_distance(query) <= eps_sq {
-                    self.count_recursive(points, root, query, eps_sq)
-                } else {
-                    0
-                }
-            }
-            None => 0,
+        let eps_sq = eps * eps;
+        if !self.nodes.is_empty() && self.min_sq(0, query) <= eps_sq {
+            self.count_recursive(points, 0, query, eps_sq)
+        } else {
+            0
         }
     }
 
@@ -111,13 +161,12 @@ impl TreeCore {
         eps: f64,
         keep: &impl Fn(PointId) -> bool,
     ) -> Option<(f64, PointId)> {
-        let root = self.root?;
         let mut best = Best {
             bound: eps * eps,
             found: None,
         };
-        if self.nodes[root as usize].bbox().min_squared_distance(query) <= best.bound {
-            self.nearest_recursive(points, root, query, keep, &mut best);
+        if !self.nodes.is_empty() && self.min_sq(0, query) <= best.bound {
+            self.nearest_recursive(points, 0, query, keep, &mut best);
         }
         best.found
     }
@@ -130,25 +179,26 @@ impl TreeCore {
         keep: &impl Fn(PointId) -> bool,
         best: &mut Best,
     ) {
-        match &self.nodes[node as usize] {
-            Node::Leaf { start, end, .. } => {
-                for &id in &self.ids[*start as usize..*end as usize] {
+        let Node {
+            start,
+            end,
+            children,
+        } = self.nodes[node as usize];
+        match children {
+            None => {
+                for &id in &self.ids[start as usize..end as usize] {
                     if keep(id) {
                         best.offer(points.squared_distance_to(id, query), id);
                     }
                 }
             }
-            Node::Inner { left, right, .. } => {
-                let dl = self.nodes[*left as usize]
-                    .bbox()
-                    .min_squared_distance(query);
-                let dr = self.nodes[*right as usize]
-                    .bbox()
-                    .min_squared_distance(query);
+            Some((left, right)) => {
+                let dl = self.min_sq(left, query);
+                let dr = self.min_sq(right, query);
                 let ((near, d_near), (far, d_far)) = if dr < dl {
-                    ((*right, dr), (*left, dl))
+                    ((right, dr), (left, dl))
                 } else {
-                    ((*left, dl), (*right, dr))
+                    ((left, dl), (right, dr))
                 };
                 // A box exactly at the bound may still hold a tie with a
                 // smaller id, so only strictly farther boxes are pruned.
@@ -170,30 +220,28 @@ impl TreeCore {
         eps_sq: f64,
         out: &mut Vec<PointId>,
     ) {
-        match &self.nodes[node as usize] {
-            Node::Leaf { bbox, start, end } => {
-                let ids = &self.ids[*start as usize..*end as usize];
-                if bbox.max_squared_distance(query) <= eps_sq {
-                    out.extend_from_slice(ids);
-                    return;
-                }
+        let Node {
+            start,
+            end,
+            children,
+        } = self.nodes[node as usize];
+        let ids = &self.ids[start as usize..end as usize];
+        if self.max_sq(node, query) <= eps_sq {
+            // The box lies inside the ball: report the node's run whole.
+            out.extend_from_slice(ids);
+            return;
+        }
+        match children {
+            None => {
                 for &id in ids {
                     if points.squared_distance_to(id, query) <= eps_sq {
                         out.push(id);
                     }
                 }
             }
-            Node::Inner { bbox, left, right } => {
-                if bbox.max_squared_distance(query) <= eps_sq {
-                    self.report_subtree(node, out);
-                    return;
-                }
-                for &child in &[*left, *right] {
-                    if self.nodes[child as usize]
-                        .bbox()
-                        .min_squared_distance(query)
-                        <= eps_sq
-                    {
+            Some((left, right)) => {
+                for child in [left, right] {
+                    if self.min_sq(child, query) <= eps_sq {
                         self.range_recursive(points, child, query, eps_sq, out);
                     }
                 }
@@ -201,53 +249,26 @@ impl TreeCore {
         }
     }
 
-    /// Reports every point under `node` without distance checks.
-    fn report_subtree(&self, node: u32, out: &mut Vec<PointId>) {
-        // Leaf ranges under one subtree are contiguous by construction, so a
-        // single slice copy suffices.
-        let (start, end) = self.subtree_span(node);
-        out.extend_from_slice(&self.ids[start as usize..end as usize]);
-    }
-
-    fn subtree_span(&self, node: u32) -> (u32, u32) {
-        match &self.nodes[node as usize] {
-            Node::Leaf { start, end, .. } => (*start, *end),
-            Node::Inner { left, right, .. } => {
-                let (s, _) = self.subtree_span(*left);
-                let (_, e) = self.subtree_span(*right);
-                (s, e)
-            }
-        }
-    }
-
     fn count_recursive(&self, points: &PointSet, node: u32, query: &[f64], eps_sq: f64) -> usize {
-        match &self.nodes[node as usize] {
-            Node::Leaf { bbox, start, end } => {
-                let ids = &self.ids[*start as usize..*end as usize];
-                if bbox.max_squared_distance(query) <= eps_sq {
-                    return ids.len();
-                }
-                ids.iter()
-                    .filter(|&&id| points.squared_distance_to(id, query) <= eps_sq)
-                    .count()
-            }
-            Node::Inner { bbox, left, right } => {
-                if bbox.max_squared_distance(query) <= eps_sq {
-                    let (s, e) = self.subtree_span(node);
-                    return (e - s) as usize;
-                }
-                let mut total = 0;
-                for &child in &[*left, *right] {
-                    if self.nodes[child as usize]
-                        .bbox()
-                        .min_squared_distance(query)
-                        <= eps_sq
-                    {
-                        total += self.count_recursive(points, child, query, eps_sq);
-                    }
-                }
-                total
-            }
+        let Node {
+            start,
+            end,
+            children,
+        } = self.nodes[node as usize];
+        let ids = &self.ids[start as usize..end as usize];
+        if self.max_sq(node, query) <= eps_sq {
+            return ids.len();
+        }
+        match children {
+            None => ids
+                .iter()
+                .filter(|&&id| points.squared_distance_to(id, query) <= eps_sq)
+                .count(),
+            Some((left, right)) => [left, right]
+                .into_iter()
+                .filter(|&child| self.min_sq(child, query) <= eps_sq)
+                .map(|child| self.count_recursive(points, child, query, eps_sq))
+                .sum(),
         }
     }
 }
@@ -403,47 +424,11 @@ impl RangeIndex for OwnedKdTree {
     }
 }
 
-fn build_recursive(
-    points: &PointSet,
-    ids: &mut [PointId],
-    offset: usize,
-    len: usize,
-    nodes: &mut Vec<Node>,
-) -> u32 {
-    let slice = &mut ids[offset..offset + len];
-    let mut bbox = BoundingBox::around_point(points.point(slice[0]));
-    for &id in slice[1..].iter() {
-        bbox.expand_to_point(points.point(id));
-    }
-
-    if len <= KdTree::LEAF_SIZE {
-        nodes.push(Node::Leaf {
-            bbox,
-            start: offset as u32,
-            end: (offset + len) as u32,
-        });
-        return (nodes.len() - 1) as u32;
-    }
-
-    // Split on the widest dimension at the median.
-    let dim = widest_dimension(&bbox);
-    let mid = len / 2;
-    slice.select_nth_unstable_by(mid, |&a, &b| {
-        points.point(a)[dim]
-            .partial_cmp(&points.point(b)[dim])
-            .expect("NaN coordinate")
-    });
-
-    let left = build_recursive(points, ids, offset, mid, nodes);
-    let right = build_recursive(points, ids, offset + mid, len - mid, nodes);
-    nodes.push(Node::Inner { bbox, left, right });
-    (nodes.len() - 1) as u32
-}
-
-fn widest_dimension(bbox: &BoundingBox) -> usize {
+/// The dimension of the box's widest extent, the first among equals.
+fn widest_dimension(lo: &[f64], hi: &[f64]) -> usize {
     let mut best = 0;
     let mut best_extent = f64::NEG_INFINITY;
-    for (d, (lo, hi)) in bbox.min().iter().zip(bbox.max()).enumerate() {
+    for (d, (lo, hi)) in lo.iter().zip(hi).enumerate() {
         let extent = hi - lo;
         if extent > best_extent {
             best_extent = extent;
@@ -458,6 +443,7 @@ mod tests {
     use super::*;
     use crate::linear::LinearScan;
     use dbsvec_geometry::rng::SplitMix64;
+    use dbsvec_geometry::BoundingBox;
 
     fn random_points(n: usize, d: usize, seed: u64) -> PointSet {
         let mut rng = SplitMix64::new(seed);
@@ -585,6 +571,125 @@ mod tests {
             KdTree::build(&PointSet::new(1)).nearest_within(&[0.0], 1e9, |_| true),
             None
         );
+    }
+
+    /// A node of the recursive build the tree must reproduce: one
+    /// `BoundingBox` per node, nodes numbered in post-order.
+    #[derive(Debug, PartialEq)]
+    enum RefNode {
+        Leaf {
+            bbox: BoundingBox,
+            start: u32,
+            end: u32,
+        },
+        Inner {
+            bbox: BoundingBox,
+            left: u32,
+            right: u32,
+        },
+    }
+
+    /// The recursive build before the flat layout: the box grown point by
+    /// point through the rows, then the median selected on the ids with
+    /// every comparison reading the point rows.
+    fn reference_build(points: &PointSet) -> (Vec<RefNode>, Vec<PointId>) {
+        fn recurse(
+            points: &PointSet,
+            ids: &mut [PointId],
+            offset: usize,
+            len: usize,
+            nodes: &mut Vec<RefNode>,
+        ) -> u32 {
+            let slice = &mut ids[offset..offset + len];
+            let mut bbox = BoundingBox::around_point(points.point(slice[0]));
+            for &id in slice[1..].iter() {
+                bbox.expand_to_point(points.point(id));
+            }
+            if len <= KdTree::LEAF_SIZE {
+                nodes.push(RefNode::Leaf {
+                    bbox,
+                    start: offset as u32,
+                    end: (offset + len) as u32,
+                });
+                return (nodes.len() - 1) as u32;
+            }
+            let dim = widest_dimension(bbox.min(), bbox.max());
+            let mid = len / 2;
+            slice.select_nth_unstable_by(mid, |&a, &b| {
+                points.point(a)[dim]
+                    .partial_cmp(&points.point(b)[dim])
+                    .unwrap()
+            });
+            let left = recurse(points, ids, offset, mid, nodes);
+            let right = recurse(points, ids, offset + mid, len - mid, nodes);
+            nodes.push(RefNode::Inner { bbox, left, right });
+            (nodes.len() - 1) as u32
+        }
+        let n = points.len();
+        let mut ids: Vec<PointId> = (0..n as u32).collect();
+        let mut nodes = Vec::new();
+        if n > 0 {
+            recurse(points, &mut ids, 0, n, &mut nodes);
+        }
+        (nodes, ids)
+    }
+
+    /// The tree's nodes in the reference layout, checking on the way that
+    /// each inner node's run is the concatenation of its children's.
+    fn post_order(core: &TreeCore) -> Vec<RefNode> {
+        fn walk(core: &TreeCore, node: u32, out: &mut Vec<RefNode>) -> u32 {
+            let Node {
+                start,
+                end,
+                children,
+            } = core.nodes[node as usize];
+            let (lo, hi) = core.corners(node);
+            let bbox = BoundingBox::from_corners(lo.to_vec(), hi.to_vec());
+            let laid_out = match children {
+                None => RefNode::Leaf { bbox, start, end },
+                Some((l, r)) => {
+                    let (left, right) = (core.nodes[l as usize], core.nodes[r as usize]);
+                    assert_eq!((left.start, left.end, right.end), (start, right.start, end));
+                    RefNode::Inner {
+                        bbox,
+                        left: walk(core, l, out),
+                        right: walk(core, r, out),
+                    }
+                }
+            };
+            out.push(laid_out);
+            (out.len() - 1) as u32
+        }
+        let mut out = Vec::new();
+        if !core.nodes.is_empty() {
+            walk(core, 0, &mut out);
+        }
+        assert_eq!(out.len(), core.nodes.len(), "every node is reachable");
+        out
+    }
+
+    #[test]
+    fn build_reproduces_the_recursive_build() {
+        type Coordinate = fn(&mut SplitMix64) -> f64;
+        let inputs: [(&str, Coordinate); 3] = [
+            ("random", |rng| rng.next_f64() * 100.0),
+            ("lattice", |rng| rng.next_below(5) as f64),
+            ("identical", |_| 7.0),
+        ];
+        for (name, coordinate) in inputs {
+            for dims in [1, 2, 3, 8] {
+                for n in [0, 1, 16, 17, 5_000, 70_000] {
+                    let mut rng = SplitMix64::new(n as u64 * 31 + dims as u64);
+                    let flat = (0..n * dims).map(|_| coordinate(&mut rng)).collect();
+                    let points = PointSet::from_flat(dims, flat);
+                    let (want_nodes, want_ids) = reference_build(&points);
+                    let tree = KdTree::build(&points);
+                    let case = format!("{name} d={dims} n={n}");
+                    assert!(tree.core.ids == want_ids, "{case}: leaf id order");
+                    assert!(post_order(&tree.core) == want_nodes, "{case}: nodes");
+                }
+            }
+        }
     }
 
     #[test]

@@ -8,11 +8,13 @@
 //! * [`LinearScan`] — the O(n) baseline, also the correctness oracle in
 //!   tests;
 //! * [`KdTree`] — median-split kd-tree with leaf buckets, the engine behind
-//!   the paper's *kd-DBSCAN* baseline; its owning twin [`OwnedKdTree`] and
-//!   the bounded nearest-neighbour search [`KdTree::nearest_within`] serve
-//!   the fitted model and the serving engine;
+//!   the paper's *kd-DBSCAN* baseline and DBSVEC's default fit; its owning
+//!   twin [`OwnedKdTree`] and the bounded nearest-neighbour search
+//!   [`KdTree::nearest_within`] serve the fitted model and the serving
+//!   engine;
 //! * [`RStarTree`] — an STR bulk-loaded R\*-tree, the engine behind the
-//!   paper's *R-DBSCAN* ground-truth algorithm and DBSVEC's default fit.
+//!   paper's *R-DBSCAN* ground-truth algorithm (the paper's own substrate
+//!   for DBSVEC, which callers pass to `fit_with_index`).
 //!
 //! [`k_distance_profile`] and [`knee_epsilon`] derive ε from any engine.
 //! [`CountingIndex`] wraps any engine and counts queries/candidate
@@ -36,6 +38,7 @@
 
 pub mod kdist;
 pub mod kdtree;
+mod keyed;
 pub mod linear;
 pub mod rstar;
 pub mod stats;

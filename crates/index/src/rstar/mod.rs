@@ -5,8 +5,8 @@
 //! Beckmann et al.'s R\*-tree \[7\]). Every tree here is built by **STR
 //! bulk loading** (`bulk`) — the Sort-Tile-Recursive packing of
 //! Leutenegger et al., which builds a near-optimal static tree in
-//! O(n log n), optionally on several threads. Every caller indexes a point
-//! set it already holds in full, so the tree has no insertion path.
+//! O(n log n). Every caller indexes a point set it already holds in full,
+//! so the tree has no insertion path.
 //!
 //! Fanout is [`RStarTree::MAX_ENTRIES`] = 32, the conventional in-memory
 //! configuration.
@@ -41,14 +41,7 @@ impl<'a> RStarTree<'a> {
 
     /// Bulk-loads the whole point set with Sort-Tile-Recursive packing.
     pub fn build(points: &'a PointSet) -> Self {
-        bulk::str_bulk_load(points, 1)
-    }
-
-    /// [`RStarTree::build`] with the leaf level tiled on up to `threads`
-    /// scoped threads (`threads <= 1` spawns none). The tree is the same
-    /// at every thread count.
-    pub fn build_threaded(points: &'a PointSet, threads: usize) -> Self {
-        bulk::str_bulk_load(points, threads)
+        bulk::str_bulk_load(points)
     }
 
     /// The indexed point set.

@@ -12,9 +12,9 @@
 //!
 //! A second fit runs the same workload with every coordinate rounded to a
 //! multiple of 400. Rounded coordinates tie constantly — in distances,
-//! kernel values, gradients and per-dimension sort keys — so that fit pins
-//! the tie rules end to end: every selection keeps the first index among
-//! equal values, and the R\*-tree bulk load keeps its order among equal
+//! kernel values, gradients and per-dimension split keys — so that fit
+//! pins the tie rules end to end: every selection keeps the first index
+//! among equal values, and the kd-tree build keeps its order among equal
 //! coordinates.
 //!
 //! The cache hit/miss counters are deliberately not pinned: they describe
@@ -31,32 +31,32 @@ type Solve = (usize, usize, bool, bool, u64);
 
 /// Each solve of the random-walk fit, in fit order.
 const SOLVES: [Solve; 28] = [
-    (617, 80, false, true, 1639827),
+    (617, 83, false, true, 882027),
     (767, 61, true, true, 811815),
-    (232, 46, false, true, 1153867),
+    (232, 52, false, true, 1563728),
     (592, 73, true, true, 1374329),
     (773, 49, true, true, 791899),
-    (407, 60, false, true, 1435308),
+    (407, 59, false, true, 1455955),
     (861, 53, true, true, 894275),
     (867, 30, true, true, 611532),
-    (557, 56, false, true, 1601241),
+    (557, 59, false, true, 1299832),
     (812, 57, true, true, 921704),
-    (438, 62, false, true, 1292046),
+    (438, 56, false, true, 1413549),
     (782, 68, true, true, 938084),
     (786, 46, true, true, 456865),
-    (401, 51, false, true, 983290),
+    (401, 52, false, true, 1397128),
     (790, 54, true, true, 1052051),
-    (345, 71, false, true, 1643248),
+    (345, 53, false, true, 1469880),
     (614, 65, true, true, 1171952),
     (810, 57, true, true, 844716),
-    (334, 71, false, true, 1519579),
-    (789, 73, true, true, 895837),
-    (192, 47, false, true, 1111819),
-    (442, 57, true, true, 1156659),
+    (334, 71, false, true, 1552430),
+    (789, 75, true, true, 895837),
+    (192, 41, false, true, 1347910),
+    (442, 58, true, true, 1156659),
     (769, 55, true, true, 801289),
     (798, 39, true, true, 704886),
-    (101, 39, false, true, 1385024),
-    (430, 51, true, true, 1180117),
+    (101, 41, false, true, 1629087),
+    (430, 57, true, true, 1203209),
     (755, 61, true, true, 790257),
     (798, 49, true, true, 691913),
 ];
@@ -64,23 +64,23 @@ const SOLVES: [Solve; 28] = [
 /// FNV-1a of the labels, noise encoded as `u32::MAX`.
 const LABELS_FNV: u64 = 0x56b7_54bd_dd4e_042e;
 /// FNV-1a of `core_points()` in reported order.
-const CORES_FNV: u64 = 0x8cd3_b3a0_b24c_d50b;
+const CORES_FNV: u64 = 0xd2d2_068a_edc7_4583;
 
 const STATS: DbsvecStats = DbsvecStats {
     seeds: 10,
     svdd_trainings: 28,
     support_vectors: 1126,
-    core_support_vectors: 813,
+    core_support_vectors: 812,
     merges: 0,
     noise_candidates: 10,
     noise_confirmed: 10,
-    range_queries: 842,
+    range_queries: 841,
     expansion_rounds: 28,
     max_target_size: 867,
-    smo_iterations: 1581,
+    smo_iterations: 1574,
     warm_started_trainings: 18,
     iterations_exhausted: 0,
-    initial_kkt_violation_e6: 29855429,
+    initial_kkt_violation_e6: 30124798,
     sampled_candidates: 0,
     attachment_candidates: 0,
     attached_points: 0,
@@ -88,56 +88,56 @@ const STATS: DbsvecStats = DbsvecStats {
 
 /// Each solve of the grid-rounded fit, in fit order.
 const ROUNDED_SOLVES: [Solve; 28] = [
-    (612, 88, false, true, 1611722),
+    (612, 83, false, true, 902899),
     (767, 43, true, true, 783824),
-    (227, 49, false, true, 1282476),
+    (227, 53, false, true, 1651429),
     (582, 65, true, true, 1281685),
     (773, 41, true, true, 816660),
-    (410, 44, false, true, 1392421),
+    (410, 51, false, true, 1404579),
     (865, 47, true, true, 850283),
-    (867, 28, true, true, 702934),
-    (555, 73, false, true, 1568762),
+    (867, 30, true, true, 702934),
+    (555, 76, false, true, 1366794),
     (812, 59, true, true, 994161),
-    (408, 47, false, true, 1282660),
-    (785, 78, true, true, 957373),
+    (408, 45, false, true, 1350531),
+    (785, 80, true, true, 957373),
     (786, 44, true, true, 519119),
-    (372, 43, false, true, 937315),
+    (372, 44, false, true, 1384385),
     (790, 43, true, true, 1029095),
-    (358, 72, false, true, 1592636),
+    (358, 61, false, true, 1451632),
     (621, 75, true, true, 946482),
-    (810, 56, true, true, 1007628),
-    (314, 57, false, true, 1365083),
+    (810, 57, true, true, 1007628),
+    (314, 51, false, true, 1409957),
     (789, 84, true, true, 899634),
-    (192, 58, false, true, 1118242),
-    (449, 49, true, true, 1151339),
+    (192, 56, false, true, 1164190),
+    (449, 47, true, true, 1148841),
     (784, 57, true, true, 806957),
     (798, 33, true, true, 801712),
-    (103, 29, false, true, 1421609),
+    (103, 31, false, true, 1579616),
     (512, 48, true, true, 1207944),
     (751, 58, true, true, 789408),
-    (798, 52, true, true, 770422),
+    (798, 51, true, true, 770422),
 ];
 
 /// Rounding moves no point to another cluster: the digest equals
 /// [`LABELS_FNV`].
 const ROUNDED_LABELS_FNV: u64 = 0x56b7_54bd_dd4e_042e;
-const ROUNDED_CORES_FNV: u64 = 0xdd74_15c4_efca_3bee;
+const ROUNDED_CORES_FNV: u64 = 0x08a8_5cbd_d146_8710;
 
 const ROUNDED_STATS: DbsvecStats = DbsvecStats {
     seeds: 10,
     svdd_trainings: 28,
-    support_vectors: 1069,
-    core_support_vectors: 749,
+    support_vectors: 1072,
+    core_support_vectors: 751,
     merges: 0,
     noise_candidates: 10,
     noise_confirmed: 10,
-    range_queries: 776,
+    range_queries: 778,
     expansion_rounds: 28,
     max_target_size: 867,
-    smo_iterations: 1520,
+    smo_iterations: 1513,
     warm_started_trainings: 18,
     iterations_exhausted: 0,
-    initial_kkt_violation_e6: 29889586,
+    initial_kkt_violation_e6: 29980174,
     sampled_candidates: 0,
     attachment_candidates: 0,
     attached_points: 0,
