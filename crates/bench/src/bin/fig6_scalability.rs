@@ -22,19 +22,14 @@
 //! Algorithms that exceed the per-run share of `--budget-secs` are skipped
 //! at larger workloads and printed as `timeout`, mirroring the paper's
 //! 10-hour rule.
-//!
-//! Passing `--threads N` switches to the **parallel-fit sweep** instead:
-//! DBSVEC alone, at thread counts 1, 2, 4, … up to N, on one d=8 workload.
-//! Labels are asserted identical to the single-threaded baseline, and the
-//! total-fit speedups land in `BENCH_fit_parallel.json`.
 
 use std::collections::HashSet;
 use std::time::Duration;
 
 use dbsvec_bench::harness::{fmt_secs, Stopwatch};
 use dbsvec_bench::{
-    parse_args, run_algorithm_profiled, run_dbsvec_config_profiled, run_dbsvec_threads_profiled,
-    Algorithm, BenchArgs, JsonReport, RunOutcome,
+    parse_args, run_algorithm_profiled, run_dbsvec_config_profiled, Algorithm, BenchArgs,
+    JsonReport,
 };
 use dbsvec_core::DbsvecConfig;
 use dbsvec_datasets::{random_walk_clusters, OpenDataset, RandomWalkConfig, RandomWalkStream};
@@ -47,10 +42,6 @@ const MIN_PTS: usize = 100;
 
 fn main() {
     let args = parse_args();
-    if let Some(threads) = args.threads {
-        fit_parallel(&args, threads);
-        return;
-    }
     let which = args.free.first().map(String::as_str).unwrap_or("all");
     if which == "smo" {
         fit_smo(&args);
@@ -80,95 +71,6 @@ fn main() {
         }
     }
     report.write_if_requested(&args);
-}
-
-/// The parallel-fit sweep (`--threads N`): DBSVEC alone at 1, 2, 4, … N
-/// worker threads on one d=8 random-walk workload, asserting that every
-/// thread count reproduces the single-threaded labels and stats exactly.
-/// Each row reports the whole fit's speedup. The thread budget drives only
-/// the sampled fit's attachment pass, so this exact fit runs on the calling
-/// thread at every count and the speedup stays near 1: the sweep checks
-/// thread-count invariance and records what the budget costs. Writes
-/// `BENCH_fit_parallel.json` when `--json DIR` is given.
-fn fit_parallel(args: &BenchArgs, max_threads: usize) {
-    let max_threads = max_threads.max(1);
-    let n = ((500_000f64 * args.scale) as usize).max(2_000);
-    let hardware = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
-    println!(
-        "Parallel fit: DBSVEC runtime vs threads (n={n}, d=8, eps={EPS}, MinPts={MIN_PTS}, \
-         {hardware} hardware threads)"
-    );
-    let ds = random_walk_clusters(&RandomWalkConfig::paper_default(n, 8), args.seed);
-
-    let mut counts = vec![1usize];
-    let mut t = 2;
-    while t < max_threads {
-        counts.push(t);
-        t *= 2;
-    }
-    if max_threads > 1 {
-        counts.push(max_threads);
-    }
-
-    let mut report = JsonReport::new("fit_parallel");
-    let mut baseline: Option<RunOutcome> = None;
-    println!("{:>8} {:>11} {:>14}", "threads", "total", "speedup_vs_1");
-    for &threads in &counts {
-        let out = run_dbsvec_threads_profiled(&ds.points, EPS, MIN_PTS, threads);
-        let base_secs = match &baseline {
-            Some(base) => {
-                assert_eq!(
-                    base.clustering, out.clustering,
-                    "threads={threads} changed the labels"
-                );
-                assert_eq!(
-                    base.counts, out.counts,
-                    "threads={threads} changed the replayed counters"
-                );
-                base.seconds
-            }
-            None => out.seconds,
-        };
-        let speedup = if out.seconds > 0.0 {
-            base_secs / out.seconds
-        } else {
-            1.0
-        };
-        println!(
-            "{threads:>8} {:>11} {speedup:>14.2}",
-            fmt_secs(Some(out.seconds)),
-        );
-        let mut extras = vec![
-            ("threads".to_string(), Json::UInt(threads as u64)),
-            ("hardware_threads".to_string(), Json::UInt(hardware as u64)),
-            ("speedup_vs_1".to_string(), Json::Num(speedup)),
-        ];
-        if hardware == 1 {
-            extras.push((
-                "note".to_string(),
-                Json::str(
-                    "single hardware thread: worker threads time-slice one core, so wall-clock \
-                     speedup is not expected; this sweep verifies determinism and records the \
-                     parallel path's overhead instead",
-                ),
-            ));
-        }
-        report.push_with_extras("fit_parallel", threads as f64, &out, extras);
-        if baseline.is_none() {
-            baseline = Some(out);
-        }
-    }
-    if hardware == 1 {
-        println!("note: single hardware thread — speedup not expected; sweep verifies determinism");
-    } else {
-        println!(
-            "threaded stage: the sampled attachment pass only; this exact fit runs on the \
-             calling thread at every count"
-        );
-    }
-    report.write_if_requested(args);
 }
 
 /// The warm-vs-cold SMO sweep (`smo` subcommand): DBSVEC with the default
@@ -317,9 +219,7 @@ fn fit_sampled(args: &BenchArgs) {
             .collect_points();
         let sampled = run_dbsvec_config_profiled(
             &points,
-            DbsvecConfig::new(EPS, MIN_PTS)
-                .with_uniform_sampling(SAMPLE_RATE, args.seed)
-                .with_threads(0),
+            DbsvecConfig::new(EPS, MIN_PTS).with_uniform_sampling(SAMPLE_RATE, args.seed),
         );
         sampled_rows.push((n, sampled.seconds));
 
@@ -330,10 +230,7 @@ fn fit_sampled(args: &BenchArgs) {
             ("hardware_threads".to_string(), Json::UInt(hardware as u64)),
         ];
         let exact = if n <= EXACT_OVERLAP_CAP {
-            let exact = run_dbsvec_config_profiled(
-                &points,
-                DbsvecConfig::new(EPS, MIN_PTS).with_threads(0),
-            );
+            let exact = run_dbsvec_config_profiled(&points, DbsvecConfig::new(EPS, MIN_PTS));
             let ari = adjusted_rand_index(
                 exact.clustering.assignments(),
                 sampled.clustering.assignments(),

@@ -73,10 +73,6 @@ pub struct BenchArgs {
     /// the `BENCH_*` trajectory; `--json DIR` overrides the destination.
     /// `None` (not reachable from the CLI) prints tables only.
     pub json_dir: Option<String>,
-    /// Fit thread budget (`--threads N`). `None` leaves the binary's
-    /// default behavior; experiment binaries that support it switch to a
-    /// parallel-fit sweep when set.
-    pub threads: Option<usize>,
     /// Free arguments (subcommands like `cardinality`).
     pub free: Vec<String>,
 }
@@ -88,7 +84,6 @@ impl Default for BenchArgs {
             budget_secs: 120.0,
             seed: 20190401,
             json_dir: Some(default_json_dir()),
-            threads: None,
             free: Vec::new(),
         }
     }
@@ -106,7 +101,7 @@ fn default_json_dir() -> String {
     }
 }
 
-/// Parses `--scale`, `--budget-secs`, and `--seed` from `std::env::args`,
+/// Parses `--scale`, `--budget-secs`, `--seed`, and `--json` from `std::env::args`,
 /// collecting everything else into [`BenchArgs::free`]. Unknown `--flags`
 /// abort with a usage message.
 pub fn parse_args() -> BenchArgs {
@@ -147,17 +142,9 @@ fn parse_arg_list(args: impl Iterator<Item = String>) -> BenchArgs {
             "--json" => {
                 out.json_dir = Some(next_value(&mut args, "--json"));
             }
-            "--threads" => {
-                out.threads = Some(next_value(&mut args, "--threads").parse().unwrap_or_else(
-                    |e| {
-                        eprintln!("bad --threads: {e}");
-                        std::process::exit(2);
-                    },
-                ));
-            }
             other if other.starts_with("--") => {
                 eprintln!(
-                    "unknown flag {other}; supported: --scale F --budget-secs F --seed N --json DIR --threads N"
+                    "unknown flag {other}; supported: --scale F --budget-secs F --seed N --json DIR"
                 );
                 std::process::exit(2);
             }
@@ -286,7 +273,7 @@ impl JsonReport {
 
     /// [`JsonReport::push`] with extra top-level key/value pairs appended
     /// to the row — used by sweeps whose x-axis needs companions (e.g. the
-    /// parallel-fit sweep records thread counts and speedups).
+    /// sampled sweep records its draw rate and seed).
     pub fn push_with_extras(
         &mut self,
         group: &str,
@@ -398,13 +385,6 @@ mod tests {
         assert_eq!(args.json_dir.as_deref(), Some("out"));
         // Without the flag the default destination (repo root) remains.
         assert!(parse(&[]).json_dir.is_some());
-    }
-
-    #[test]
-    fn parses_threads_flag() {
-        assert_eq!(parse(&["--threads", "4"]).threads, Some(4));
-        assert_eq!(parse(&["--threads", "0"]).threads, Some(0));
-        assert_eq!(parse(&[]).threads, None);
     }
 
     #[test]

@@ -28,5 +28,5 @@ pub mod runners;
 pub use harness::{parse_args, BenchArgs, JsonReport, Stopwatch};
 pub use runners::{
     run_algorithm, run_algorithm_observed, run_algorithm_profiled, run_dbsvec_config_profiled,
-    run_dbsvec_threads_profiled, Algorithm, RunOutcome,
+    Algorithm, RunOutcome,
 };

@@ -219,35 +219,10 @@ pub fn run_algorithm_profiled(
     outcome
 }
 
-/// Profiled DBSVEC run with an explicit fit thread budget (`0` = all
-/// cores, `1` = the sequential path), for the parallel-fit scalability
-/// sweep. Labels, counts, and the event stream are identical at every
-/// thread count; only the phase wall-clocks move.
-pub fn run_dbsvec_threads_profiled(
-    points: &PointSet,
-    eps: f64,
-    min_pts: usize,
-    threads: usize,
-) -> RunOutcome {
-    let mut recorder = RecordingObserver::new();
-    let (clustering, seconds) = time(|| {
-        Dbsvec::new(DbsvecConfig::new(eps, min_pts).with_threads(threads))
-            .fit_observed(points, &mut recorder)
-            .into_labels()
-    });
-    RunOutcome {
-        algorithm: Algorithm::Dbsvec,
-        clustering,
-        seconds,
-        phases: recorder.phase_timings(),
-        counts: recorder.replay(),
-    }
-}
-
 /// Profiled DBSVEC run under an explicit configuration, for ablation-style
-/// sweeps that toggle solver knobs (e.g. warm start) rather than
-/// thread counts. Phase timings and replayed counters are folded into the
-/// outcome exactly as in [`run_algorithm_profiled`].
+/// sweeps that toggle solver knobs (e.g. warm start or sampling). Phase
+/// timings and replayed counters are folded into the outcome exactly as in
+/// [`run_algorithm_profiled`].
 pub fn run_dbsvec_config_profiled(points: &PointSet, config: DbsvecConfig) -> RunOutcome {
     let mut recorder = RecordingObserver::new();
     let (clustering, seconds) = time(|| {
@@ -336,18 +311,6 @@ mod tests {
         assert!(kmeans.theta().is_none());
         assert!(!Algorithm::KMeans(2).is_instrumented());
         assert!(Algorithm::Dbsvec.is_instrumented());
-    }
-
-    #[test]
-    fn threaded_profiled_run_matches_sequential() {
-        let ps = blobs();
-        let baseline = run_dbsvec_threads_profiled(&ps, 2.0, 4, 1);
-        for threads in [2usize, 4] {
-            let par = run_dbsvec_threads_profiled(&ps, 2.0, 4, threads);
-            assert_eq!(baseline.clustering, par.clustering, "threads={threads}");
-            assert_eq!(baseline.counts, par.counts, "threads={threads}");
-            assert!(!par.phases.is_empty());
-        }
     }
 
     #[test]

@@ -588,7 +588,6 @@ pub fn fit(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
         "eps",
         "min-pts",
         "save",
-        "threads",
         "cold-start",
         "boundaries",
         "sample-rate",
@@ -602,7 +601,6 @@ pub fn fit(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
     let sampling = sampling_options(args)?;
     let (points, eps, min_pts) = load_with_params_sampled(args, &sampling, out)?;
     let save = args.require("save")?;
-    let threads: usize = args.get_or("threads", 0)?;
     let cold_start = args.has_switch("cold-start");
 
     let profile = args.has_switch("profile");
@@ -614,7 +612,7 @@ pub fn fit(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
     let obs: &mut dyn Observer = if observing { &mut tee } else { &mut noop };
 
     let start = Instant::now();
-    let mut config = DbsvecConfig::new(eps, min_pts).with_threads(threads);
+    let mut config = DbsvecConfig::new(eps, min_pts);
     config.sampling = sampling;
     if cold_start {
         config = config.cold_start();

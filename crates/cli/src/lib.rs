@@ -69,7 +69,7 @@ USAGE:
   dbsvec-cli generate --dataset NAME [--n N] [--dims D] [--seed N] --output file.csv
   dbsvec-cli suggest  --input points.csv [--min-pts N]
   dbsvec-cli fit      --input points.csv --save model.dbm [--eps F] [--min-pts N]
-                  [--threads N] [--cold-start] [--boundaries] [--stats] [--profile]
+                  [--cold-start] [--boundaries] [--stats] [--profile]
                   [--sample-rate R | --sample-kcenter M] [--sample-seed N]
                   [--trace out.jsonl]
   dbsvec-cli serve    --model model.dbm --assign points.csv [--output labels.csv]
@@ -100,10 +100,6 @@ DATASETS (for --dataset):
 Omitting --eps derives it from the k-distance knee (Schubert et al. 2017);
 omitting --min-pts uses a cardinality-based default.
 
-fit --threads N runs the sampled attachment pass on N worker threads
-(0 = all cores, the default; 1 = no worker threads); the index build and
-support vector expansion always run on one thread, so an exact fit does too.
-Labels, stats, and traces are identical at every N.
 fit --cold-start turns off the SMO solver's warm start (reusing the previous
 round's alphas); labels are identical either way.
 

@@ -16,40 +16,6 @@ pub enum NuStrategy {
     Fixed(f64),
 }
 
-/// Thread budget for the fit.
-///
-/// It drives one stage: the sampled fit's attachment pass, whose
-/// nearest-core lookups fan out across scoped threads. The index build,
-/// seeding, support vector expansion with its range queries, and every
-/// SMO solve run on the calling thread, so an exact fit runs on one thread
-/// at every budget. Results are **bit identical at every thread count** —
-/// workers only evaluate pure functions, and all state mutation happens on
-/// the calling thread in a fixed order. `threads == 1` spawns no thread.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ParallelConfig {
-    /// Worker threads; `0` (the default) means all available cores.
-    pub threads: usize,
-}
-
-impl ParallelConfig {
-    /// A fixed thread count (`0` = auto).
-    pub fn fixed(threads: usize) -> Self {
-        Self { threads }
-    }
-
-    /// The effective worker count: `0` resolves to the machine's available
-    /// parallelism (1 when it cannot be determined).
-    pub fn resolve(&self) -> usize {
-        if self.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            self.threads
-        }
-    }
-}
-
 /// How core candidates are drawn for the sampled fit mode (DBSCAN++-style
 /// subsampled core discovery; see `crate::sample`).
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -76,9 +42,9 @@ pub const DEFAULT_SAMPLING_SEED: u64 = 20190401;
 /// Seeded core-candidate subsampling for the fit.
 ///
 /// The draw is a pure function of `(points, SamplingConfig)` via the
-/// workspace's SplitMix64 stream, so sampled fits keep the parallel
-/// determinism contract: labels, stats, and traces are bit-identical at
-/// every thread count, and a draw that covers all n points (including
+/// workspace's SplitMix64 stream, so a sampled fit is as deterministic as
+/// an exact one: refitting reproduces its labels, stats, and traces bit
+/// for bit, and a draw that covers all n points (including
 /// `Uniform { rate: 1.0 }`) takes the exact fit path untouched.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SamplingConfig {
@@ -133,10 +99,6 @@ pub struct DbsvecConfig {
     pub kernel_width: KernelWidthStrategy,
     /// SMO solver options.
     pub smo: SmoOptions,
-    /// Thread budget for the sampled attachment pass (see
-    /// [`ParallelConfig`]). Defaults to all available cores; results are
-    /// identical at every setting.
-    pub parallel: ParallelConfig,
     /// Core-candidate subsampling (default: `Exact`, the full fit).
     /// Seeding and support-vector expansion restrict themselves to the
     /// drawn candidates; unsampled points are attached to their nearest
@@ -168,17 +130,8 @@ impl DbsvecConfig {
             incremental: true,
             kernel_width: KernelWidthStrategy::CenterRadius,
             smo: SmoOptions::default(),
-            parallel: ParallelConfig::default(),
             sampling: SamplingConfig::default(),
         }
-    }
-
-    /// Sets the fit thread budget (`0` = all available cores, `1` = the
-    /// exact sequential code path). Labels, core sets, statistics, and
-    /// observer traces are bit-identical at every setting.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.parallel = ParallelConfig::fixed(threads);
-        self
     }
 
     /// Restricts core discovery to a uniform candidate subsample: each
@@ -295,8 +248,6 @@ mod tests {
         assert!(c.weighted);
         assert!(c.incremental);
         assert_eq!(c.kernel_width, KernelWidthStrategy::CenterRadius);
-        assert_eq!(c.parallel, ParallelConfig::default());
-        assert_eq!(c.parallel.threads, 0);
         assert_eq!(c.sampling.mode, SamplingMode::Exact);
         assert_eq!(c.sampling.seed, DEFAULT_SAMPLING_SEED);
         // Warm starts are on by default.
@@ -307,20 +258,6 @@ mod tests {
     fn cold_start_disables_warm_start() {
         let c = DbsvecConfig::new(1.0, 5).cold_start();
         assert!(!c.smo.warm_start);
-    }
-
-    #[test]
-    fn thread_budget_resolves() {
-        assert_eq!(
-            DbsvecConfig::new(1.0, 5).with_threads(3).parallel.resolve(),
-            3
-        );
-        assert_eq!(
-            DbsvecConfig::new(1.0, 5).with_threads(1).parallel.resolve(),
-            1
-        );
-        // Auto resolves to at least one worker.
-        assert!(DbsvecConfig::new(1.0, 5).parallel.resolve() >= 1);
     }
 
     #[test]

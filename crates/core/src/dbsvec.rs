@@ -133,10 +133,10 @@ impl Dbsvec {
             points.len()
         );
         // Sampled core discovery: draw the candidate subsample up front (a
-        // pure function of the points and the seeded config, identical at
-        // every thread count). A draw covering all n points — `Exact` mode
-        // included — leaves the mask off, so the classic fit path below
-        // runs untouched: bit-identical labels, stats, and traces.
+        // pure function of the points and the seeded config). A draw
+        // covering all n points — `Exact` mode included — leaves the mask
+        // off, so the classic fit path below runs untouched: bit-identical
+        // labels, stats, and traces.
         let sample = crate::sample::sample_candidates(points, &self.config.sampling);
         let mut state = RunState::new(points, index, &self.config, obs);
 
@@ -507,9 +507,8 @@ mod tests {
     #[test]
     fn empty_range_results_return_cleanly() {
         // Five exact duplicates at the origin plus one point exactly ε away:
-        // under the open-ball adversary every query returns nothing, at any
-        // thread count. The fit must label everything noise without
-        // panicking.
+        // under the open-ball adversary every query returns nothing. The
+        // fit must label everything noise without panicking.
         let mut ps = PointSet::new(2);
         for _ in 0..5 {
             ps.push(&[0.0, 0.0]);
@@ -519,13 +518,10 @@ mod tests {
             points: &ps,
             closed_at_origin: false,
         };
-        for threads in [1usize, 4] {
-            let config = DbsvecConfig::new(1.0, 2).with_threads(threads);
-            let result = Dbsvec::new(config).fit_with_index(&ps, &index);
-            assert_eq!(result.num_clusters(), 0, "threads={threads}");
-            assert_eq!(result.labels().noise_count(), 6, "threads={threads}");
-            assert!(result.core_points().is_empty(), "threads={threads}");
-        }
+        let result = Dbsvec::new(DbsvecConfig::new(1.0, 2)).fit_with_index(&ps, &index);
+        assert_eq!(result.num_clusters(), 0);
+        assert_eq!(result.labels().noise_count(), 6);
+        assert!(result.core_points().is_empty());
     }
 
     #[test]
@@ -535,8 +531,7 @@ mod tests {
         // probes that boundary point — exactly ε from the pile, excluded by
         // the open ball along with its own degenerate self-distance — the
         // query returns a genuinely EMPTY neighborhood. Expansion must treat
-        // it as "non-core, moves on" rather than indexing into it, at every
-        // thread count.
+        // it as "non-core, moves on" rather than indexing into it.
         let mut ps = PointSet::new(2);
         for _ in 0..3 {
             ps.push(&[0.0, 0.0]);
@@ -546,32 +541,9 @@ mod tests {
             points: &ps,
             closed_at_origin: true,
         };
-        let baseline =
-            Dbsvec::new(DbsvecConfig::new(1.0, 2).with_threads(1)).fit_with_index(&ps, &index);
-        assert_eq!(baseline.num_clusters(), 1);
-        assert_eq!(baseline.labels().noise_count(), 0);
-        for threads in [2usize, 4] {
-            let par = Dbsvec::new(DbsvecConfig::new(1.0, 2).with_threads(threads))
-                .fit_with_index(&ps, &index);
-            assert_eq!(baseline.labels(), par.labels(), "threads={threads}");
-            assert_eq!(baseline.stats(), par.stats(), "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn parallel_fit_is_bit_identical_to_sequential() {
-        let ps = blobs(&[[0.0, 0.0], [25.0, 10.0]], 120, 1.2, 61);
-        let baseline = Dbsvec::new(DbsvecConfig::new(3.0, 6).with_threads(1)).fit(&ps);
-        for threads in [2usize, 4, 8] {
-            let par = Dbsvec::new(DbsvecConfig::new(3.0, 6).with_threads(threads)).fit(&ps);
-            assert_eq!(baseline.labels(), par.labels(), "threads={threads}");
-            assert_eq!(baseline.stats(), par.stats(), "threads={threads}");
-            assert_eq!(
-                baseline.core_points(),
-                par.core_points(),
-                "threads={threads}"
-            );
-        }
+        let result = Dbsvec::new(DbsvecConfig::new(1.0, 2)).fit_with_index(&ps, &index);
+        assert_eq!(result.num_clusters(), 1);
+        assert_eq!(result.labels().noise_count(), 0);
     }
 
     #[test]
@@ -617,29 +589,6 @@ mod tests {
         assert_eq!(exact.core_points(), sampled.core_points());
         assert_eq!(sampled.stats().sampled_candidates, 0, "full draw is exact");
         assert_eq!(sampled.stats().attachment_candidates, 0);
-    }
-
-    #[test]
-    fn sampled_parallel_fit_is_bit_identical_to_sequential() {
-        let mut ps = blobs(&[[0.0, 0.0], [25.0, 10.0]], 120, 1.2, 61);
-        // Isolated stragglers: the unsampled ones are never absorbed, so
-        // the attachment pass has real work to replay deterministically.
-        for i in 0..30 {
-            ps.push(&[200.0 + 10.0 * i as f64, -50.0]);
-        }
-        let config = DbsvecConfig::new(3.0, 6).with_uniform_sampling(0.4, 17);
-        let baseline = Dbsvec::new(config.clone().with_threads(1)).fit(&ps);
-        assert!(baseline.stats().attachment_candidates > 0);
-        for threads in [2usize, 4, 8] {
-            let par = Dbsvec::new(config.clone().with_threads(threads)).fit(&ps);
-            assert_eq!(baseline.labels(), par.labels(), "threads={threads}");
-            assert_eq!(baseline.stats(), par.stats(), "threads={threads}");
-            assert_eq!(
-                baseline.core_points(),
-                par.core_points(),
-                "threads={threads}"
-            );
-        }
     }
 
     #[test]

@@ -54,16 +54,13 @@ pub mod dbsvec;
 pub mod expand;
 pub mod labels;
 pub mod noise;
-pub(crate) mod parallel;
 pub mod predict;
 pub(crate) mod runner;
 pub mod sample;
 pub mod stats;
 pub mod unionfind;
 
-pub use config::{
-    DbsvecConfig, NuStrategy, ParallelConfig, SamplingConfig, SamplingMode, DEFAULT_SAMPLING_SEED,
-};
+pub use config::{DbsvecConfig, NuStrategy, SamplingConfig, SamplingMode, DEFAULT_SAMPLING_SEED};
 pub use connectivity::Connectivity;
 pub use dbsvec::{dbsvec, Dbsvec, DbsvecResult};
 pub use labels::{Clustering, WorkingLabels};

@@ -17,7 +17,6 @@ use dbsvec_geometry::{PointId, PointSet};
 use dbsvec_index::{nearer, KdTree, RangeIndex};
 use dbsvec_obs::{Event, Phase};
 
-use crate::parallel::batch_nearest_cores;
 use crate::runner::{CoreStatus, RunState};
 
 /// Resolves every entry of the potential-noise list, then — on sampled
@@ -74,12 +73,12 @@ pub(crate) fn verify_noise<I: RangeIndex>(state: &mut RunState<'_, I>) {
 /// After a sampled main loop the only unclassified points are unsampled
 /// ones that no expansion absorbed (candidates all ended clustered or on
 /// the noise list). Each gets the out-of-sample classification rule of
-/// `crate::predict`: the cluster of the nearest discovered core within ε,
-/// or noise. The lookups run against a kd-tree over the discovered cores
-/// — built once on the driving thread — and fan out through
-/// [`batch_nearest_cores`], so the pass is threaded yet bit-deterministic
-/// at every thread count. No ε-range queries against the full index are
-/// issued, keeping θ proportional to the subsample, not n.
+/// `crate::predict`: the cluster of the nearest discovered core within ε —
+/// the smaller core index among equidistant ones
+/// ([`KdTree::nearest_within`]) — or noise. The lookups run in point-id
+/// order against a kd-tree over the discovered cores, built once per fit.
+/// No ε-range queries against the full index are issued, keeping θ
+/// proportional to the subsample, not n.
 fn attach_unsampled<I: RangeIndex>(state: &mut RunState<'_, I>) {
     let pending: Vec<PointId> = (0..state.points.len() as PointId)
         .filter(|&i| state.labels.is_unclassified(i))
@@ -99,22 +98,13 @@ fn attach_unsampled<I: RangeIndex>(state: &mut RunState<'_, I>) {
             }
         }
     }
-    let verdicts = if cores.is_empty() {
-        vec![None; pending.len()]
-    } else {
-        let tree = KdTree::build(&cores);
-        batch_nearest_cores(
-            state.points,
-            &tree,
-            &core_cids,
-            state.config.eps,
-            &pending,
-            state.threads,
-        )
-    };
-    for (&i, verdict) in pending.iter().zip(&verdicts) {
+    let tree = KdTree::build(&cores);
+    for i in pending {
+        let verdict = tree
+            .nearest_within(state.points.point(i), state.config.eps, |_| true)
+            .map(|(_, c)| core_cids[c as usize]);
         if let Some(cid) = verdict {
-            state.labels.set_cluster(i, *cid);
+            state.labels.set_cluster(i, cid);
         }
         state.emit(Event::Attach {
             point: i,

@@ -43,10 +43,6 @@ pub(crate) struct RunState<'a, I: RangeIndex> {
     /// (absorbed from a candidate's neighborhood) or unclassified, and the
     /// attachment pass resolves the latter.
     pub candidates: Option<Vec<bool>>,
-    /// Worker count for the sampled attachment pass (`batch_nearest_cores`),
-    /// resolved once from `config.parallel`. Expansion's range queries and
-    /// every SMO training run on the calling thread whatever its value.
-    pub threads: usize,
     /// Every event the run has emitted, folded into counts: the one source
     /// of the returned `DbsvecStats`.
     pub counts: ReplayCounts,
@@ -74,7 +70,6 @@ impl<'a, I: RangeIndex> RunState<'a, I> {
             noise_list: Vec::new(),
             queried: vec![false; n],
             candidates: None,
-            threads: config.parallel.resolve(),
             counts: ReplayCounts::default(),
             obs,
         }

@@ -9,9 +9,8 @@
 //! nearest discovered core within ε (or confirmed as noise) — the same
 //! rule noise verification already applies to borderline training points.
 //!
-//! Draws are seeded [`SplitMix64`] streams, so the parallel-determinism
-//! contract is untouched: the subsample is a pure function of
-//! `(points, SamplingConfig)` and identical at every thread count.
+//! Draws are seeded [`SplitMix64`] streams, so the subsample is a pure
+//! function of `(points, SamplingConfig)` and a refit reproduces it.
 
 use dbsvec_geometry::rng::SplitMix64;
 use dbsvec_geometry::{PointId, PointSet};

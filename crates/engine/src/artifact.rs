@@ -58,6 +58,14 @@ fn bit_equal(a: &[f64], b: &[f64]) -> bool {
     a.iter().zip(b).all(|(u, v)| u.to_bits() == v.to_bits())
 }
 
+/// Index of the first point with a NaN or infinite coordinate.
+fn first_non_finite(points: &PointSet) -> Option<PointId> {
+    points
+        .iter()
+        .find(|(_, p)| p.iter().any(|c| !c.is_finite()))
+        .map(|(id, _)| id)
+}
+
 /// One cluster's SVDD description, reduced to what the decision function
 /// needs: support vectors, their multipliers, the kernel width, and the
 /// constants `R²` and `αᵀKα`.
@@ -403,7 +411,8 @@ impl ModelArtifact {
 
     /// Semantic validity beyond what the binary decoder can check
     /// structurally: aligned lengths, in-range labels, positive finite
-    /// parameters. Returns a human-readable reason on failure.
+    /// parameters, finite coordinates. Returns a human-readable reason on
+    /// failure.
     pub fn validate(&self) -> Result<(), String> {
         if !(self.eps.is_finite() && self.eps > 0.0) {
             return Err(format!("eps must be positive and finite, got {}", self.eps));
@@ -424,6 +433,11 @@ impl ModelArtifact {
                 self.num_clusters
             ));
         }
+        // The engine's kd-tree orders points by coordinate, so a NaN would
+        // abort the load instead of failing it.
+        if let Some(i) = first_non_finite(&self.cores) {
+            return Err(format!("core point {i} has a non-finite coordinate"));
+        }
         if let Some(bounds) = &self.boundaries {
             for b in bounds {
                 if b.cluster >= self.num_clusters {
@@ -438,6 +452,12 @@ impl ModelArtifact {
                         b.cluster,
                         b.sv.dims(),
                         self.cores.dims()
+                    ));
+                }
+                if let Some(i) = first_non_finite(&b.sv) {
+                    return Err(format!(
+                        "boundary for cluster {}: support vector {i} has a non-finite coordinate",
+                        b.cluster
                     ));
                 }
                 if b.sv.len() != b.alpha.len() {

@@ -5,8 +5,8 @@
 use dbsvec_core::{Dbsvec, DbsvecConfig};
 use dbsvec_datasets::gaussian_mixture;
 use dbsvec_engine::{
-    snapshot, Engine, ModelArtifact, QualityBaseline, SampledMode, SamplingInfo, SnapshotError,
-    FORMAT_VERSION, MAGIC,
+    snapshot, ClusterBoundary, Engine, ModelArtifact, QualityBaseline, SampledMode, SamplingInfo,
+    SnapshotError, FORMAT_VERSION, MAGIC,
 };
 use dbsvec_geometry::PointSet;
 use dbsvec_obs::Histogram;
@@ -359,6 +359,50 @@ fn rejects_semantic_corruption_with_a_valid_checksum() {
         snapshot::decode(&bytes),
         Err(SnapshotError::Invalid(_))
     ));
+}
+
+/// 200 finite cores on a line plus one `[NaN, 1.0]` core: a well-formed,
+/// checksummed encoding whose coordinates no index can order.
+fn nan_core_artifact() -> ModelArtifact {
+    let mut rows: Vec<Vec<f64>> = (0..200).map(|i| vec![i as f64, 0.0]).collect();
+    rows.push(vec![f64::NAN, 1.0]);
+    ModelArtifact {
+        eps: 1.5,
+        min_pts: 3,
+        num_clusters: 1,
+        core_labels: vec![0; rows.len()],
+        cores: PointSet::from_rows(&rows),
+        boundaries: None,
+        quality: None,
+        sampling: None,
+    }
+}
+
+#[test]
+fn non_finite_coordinates_decode_to_invalid_instead_of_panicking() {
+    let artifact = nan_core_artifact();
+    assert!(artifact.validate().is_err());
+    let bytes = snapshot::encode(&artifact);
+    match snapshot::decode(&bytes) {
+        Err(SnapshotError::Invalid(why)) => assert!(why.contains("core"), "reason: {why}"),
+        other => panic!("expected Invalid, got {other:?}"),
+    }
+
+    // A boundary support vector at infinity is rejected the same way.
+    let mut artifact = tiny_artifact();
+    artifact.boundaries = Some(vec![ClusterBoundary {
+        cluster: 0,
+        sigma: 1.0,
+        r_sq: 0.5,
+        alpha_k_alpha: 1.0,
+        sv: PointSet::from_rows(&[vec![f64::INFINITY]]),
+        alpha: vec![1.0],
+    }]);
+    let bytes = snapshot::encode(&artifact);
+    match snapshot::decode(&bytes) {
+        Err(SnapshotError::Invalid(why)) => assert!(why.contains("boundary"), "reason: {why}"),
+        other => panic!("expected Invalid, got {other:?}"),
+    }
 }
 
 #[test]

@@ -563,18 +563,20 @@ impl Router {
     /// Builds the aggregate metrics registry across every shard of every
     /// model: counters (quality windows and drift alerts included) from
     /// summed [`EngineStats`], gauges from folded health, per-call latency
-    /// histograms merged shard by shard. When the router serves exactly
-    /// one shard, its monitor's drift gauges ride along too.
+    /// histograms merged shard by shard. The drift and occupancy gauges
+    /// are those of the worst monitored shard: the highest smoothed drift
+    /// score, the first in model and shard order on ties — the worst-shard
+    /// rule the folded health applies to staleness.
     pub fn aggregate_metrics(&self) -> EngineMetrics {
         let mut agg = EngineMetrics::new();
         let mut stats = EngineStats::default();
         let mut health: Option<HealthSnapshot> = None;
         let mut writes = 0u64;
         let mut loads = 0u64;
-        let single_shard = self.models.len() == 1 && self.models[0].shards.len() == 1;
+        let mut worst: Option<(f64, &Mutex<Shard>)> = None;
         for entry in &self.models {
-            for shard in &entry.shards {
-                let shard = shard.lock().unwrap();
+            for cell in &entry.shards {
+                let shard = cell.lock().unwrap();
                 let s = shard.engine.stats();
                 stats.assigns += s.assigns;
                 stats.assign_hits += s.assign_hits;
@@ -597,12 +599,18 @@ impl Router {
                 agg.merge_ingest_latencies(shard.metrics.ingest_latency().histogram());
                 agg.merge_remove_latencies(shard.metrics.remove_latency().histogram());
                 agg.merge_split_latencies(shard.metrics.split_latency().histogram());
-                if single_shard {
-                    // Publishes the monitor's state; the stats and health
-                    // it also writes equal the aggregate written below.
-                    agg.refresh(&shard.engine);
+                if let Some(monitor) = shard.engine.monitor() {
+                    let score = monitor.signals().map_or(0.0, |s| s.smoothed_score);
+                    if worst.map_or(true, |(top, _)| score > top) {
+                        worst = Some((score, cell));
+                    }
                 }
             }
+        }
+        if let Some((_, cell)) = worst {
+            // Publishes that monitor's state; the stats and health it also
+            // writes are overwritten by the aggregate below.
+            agg.refresh(&cell.lock().unwrap().engine);
         }
         if let Some(h) = health {
             agg.refresh_from_parts(&stats, &h);

