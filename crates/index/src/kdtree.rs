@@ -36,6 +36,7 @@
 //!   allocation, and rebuild it as points arrive.
 
 use crate::keyed::KeyedSort;
+use crate::leaf;
 use crate::traits::RangeIndex;
 use dbsvec_geometry::{bbox, PointId, PointSet};
 
@@ -232,13 +233,7 @@ impl TreeCore {
             return;
         }
         match children {
-            None => {
-                for &id in ids {
-                    if points.squared_distance_to(id, query) <= eps_sq {
-                        out.push(id);
-                    }
-                }
-            }
+            None => leaf::extend_within(points, ids, query, eps_sq, out),
             Some((left, right)) => {
                 for child in [left, right] {
                     if self.min_sq(child, query) <= eps_sq {

@@ -39,6 +39,7 @@
 pub mod kdist;
 pub mod kdtree;
 mod keyed;
+mod leaf;
 pub mod linear;
 pub mod rstar;
 pub mod stats;

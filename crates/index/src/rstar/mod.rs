@@ -13,6 +13,7 @@
 
 mod bulk;
 
+use crate::leaf;
 use crate::traits::RangeIndex;
 use dbsvec_geometry::{BoundingBox, PointId, PointSet};
 
@@ -70,13 +71,7 @@ impl<'a> RStarTree<'a> {
             return;
         }
         match &n.entries {
-            Entries::Leaf(ids) => {
-                for &id in ids {
-                    if self.points.squared_distance_to(id, query) <= eps_sq {
-                        out.push(id);
-                    }
-                }
-            }
+            Entries::Leaf(ids) => leaf::extend_within(self.points, ids, query, eps_sq, out),
             Entries::Inner(children) => {
                 for &child in children {
                     if self.nodes[child as usize].bbox.min_squared_distance(query) <= eps_sq {

@@ -158,3 +158,90 @@ fn nearest_within_matches_brute_force_on_both_wrappers() {
         }
     }
 }
+
+/// What a range query must return, in order, from an engine whose leaves
+/// hold `stored` (its ids in leaf order): a traversal of every leaf with
+/// the plain push-if-within loop that the trees' branch-free leaf scan
+/// must reproduce. Pruning does not change the list: the box bounds are
+/// monotone in each coordinate, so a pruned box holds no point within ε
+/// and a whole-reported box holds no point beyond it.
+fn reference_range(ps: &PointSet, stored: &[PointId], q: &[f64], eps: f64) -> Vec<PointId> {
+    let eps_sq = eps * eps;
+    let mut out = Vec::new();
+    for &id in stored {
+        if ps.squared_distance_to(id, q) <= eps_sq {
+            out.push(id);
+        }
+    }
+    out
+}
+
+#[test]
+fn tree_ranges_report_their_leaf_order_exactly() {
+    type Coordinate = fn(&mut SplitMix64) -> f64;
+    // Lattice coordinates and integer radii put many points exactly at ε
+    // (every squared distance is an exact integer); the duplicate-heavy set
+    // draws each row from eight distinct ones.
+    let inputs: [(&str, Coordinate, [f64; 4]); 3] = [
+        (
+            "random",
+            |rng| rng.next_f64_range(-100.0, 100.0),
+            [0.0, 7.5, 30.0, 90.0],
+        ),
+        (
+            "lattice",
+            |rng| rng.next_below(7) as f64,
+            [0.0, 1.0, 2.0, 3.0],
+        ),
+        (
+            "duplicates",
+            |rng| (rng.next_below(2) * 3) as f64,
+            [0.0, 1.0, 3.0, 4.5],
+        ),
+    ];
+    let mut rng = SplitMix64::new(0x0DE2);
+    for (name, coordinate, radii) in inputs {
+        for d in [1usize, 2, 3, 8] {
+            for n in [1usize, 17, 300, 3_000] {
+                let flat: Vec<f64> = if name == "duplicates" {
+                    let rows: Vec<f64> = (0..8 * d).map(|_| coordinate(&mut rng)).collect();
+                    (0..n)
+                        .flat_map(|_| {
+                            let r = rng.next_below(8) as usize;
+                            rows[r * d..(r + 1) * d].to_vec()
+                        })
+                        .collect()
+                } else {
+                    (0..n * d).map(|_| coordinate(&mut rng)).collect()
+                };
+                let ps = PointSet::from_flat(d, flat);
+                let engines: [(&str, Box<dyn RangeIndex + '_>); 3] = [
+                    ("kdtree", Box::new(KdTree::build(&ps))),
+                    ("owned kdtree", Box::new(OwnedKdTree::build(ps.clone()))),
+                    ("rstar", Box::new(RStarTree::build(&ps))),
+                ];
+                for (engine_name, engine) in &engines {
+                    // A ball covering every point reports each leaf whole,
+                    // in leaf order.
+                    let stored = engine.range_vec(&vec![0.0; d], 1e9);
+                    let mut sorted = stored.clone();
+                    sorted.sort_unstable();
+                    assert_eq!(sorted, (0..n as PointId).collect::<Vec<_>>());
+                    for probe in 0..24 {
+                        let q: Vec<f64> = if probe % 2 == 0 {
+                            ps.point(rng.next_below(n as u64) as PointId).to_vec()
+                        } else {
+                            (0..d).map(|_| coordinate(&mut rng)).collect()
+                        };
+                        let eps = radii[probe / 2 % radii.len()];
+                        let mut out = vec![PointId::MAX];
+                        engine.range(&q, eps, &mut out);
+                        let mut want = vec![PointId::MAX];
+                        want.extend(reference_range(&ps, &stored, &q, eps));
+                        assert_eq!(out, want, "{name} {engine_name} d={d} n={n} eps={eps}");
+                    }
+                }
+            }
+        }
+    }
+}
