@@ -7,33 +7,19 @@
 //! | ρ-Approximate | [`RhoApproxDbscan`] | grid-based approximation |
 //! | DBSCAN-LSH | [`DbscanLsh`] | hashing-based approximation |
 //! | NQ-DBSCAN | [`NqDbscan`] | exact, prunes distance computations |
-//! | FDBSCAN | [`FDbscan`] | approximate, representative-point expansion |
 //! | k-MEANS | [`KMeans`] | partitioning baseline |
-//!
-//! Beyond the paper's comparison set, [`ParallelDbscan`] provides exact
-//! DBSCAN with multi-threaded range queries — the "parallelizable spatial
-//! index" direction the paper points at in §III-D — and [`Hdbscan`]
-//! implements HDBSCAN\*, the hierarchical extension behind the paper's
-//! reference \[9\], which handles clusters of different densities that no
-//! single-ε method can.
 //!
 //! All of them emit the shared [`dbsvec_core::Clustering`] label type, so
 //! `dbsvec-metrics` scores any pair of them interchangeably.
 
 pub mod dbscan;
 pub mod dbscan_lsh;
-pub mod fdbscan;
-pub mod hdbscan;
 pub mod kmeans;
 pub mod nq_dbscan;
-pub mod parallel;
 pub mod rho_approx;
 
 pub use dbscan::{Dbscan, DbscanResult, DbscanStats};
 pub use dbscan_lsh::{DbscanLsh, DbscanLshResult};
-pub use fdbscan::{FDbscan, FDbscanResult, FDbscanStats};
-pub use hdbscan::{Hdbscan, HdbscanResult, HdbscanStats};
 pub use kmeans::{KMeans, KMeansResult};
 pub use nq_dbscan::{NqDbscan, NqDbscanResult, NqDbscanStats};
-pub use parallel::{ParallelDbscan, ParallelDbscanResult, ParallelDbscanStats};
 pub use rho_approx::{RhoApproxDbscan, RhoApproxResult, RhoApproxStats};

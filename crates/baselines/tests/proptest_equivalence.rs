@@ -4,7 +4,7 @@
 //! Deterministic SplitMix64-driven instance loops; fixed seeds make every
 //! failure exactly reproducible.
 
-use dbsvec_baselines::{Dbscan, FDbscan, NqDbscan, ParallelDbscan, RhoApproxDbscan};
+use dbsvec_baselines::{Dbscan, NqDbscan, RhoApproxDbscan};
 use dbsvec_geometry::rng::SplitMix64;
 use dbsvec_geometry::PointSet;
 
@@ -37,38 +37,6 @@ fn nq_dbscan_is_exactly_dbscan() {
 }
 
 #[test]
-fn parallel_dbscan_matches_core_partition_and_noise() {
-    use dbsvec_index::{LinearScan, RangeIndex};
-    let mut rng = SplitMix64::new(0xAB02);
-    for _ in 0..48 {
-        let ps = point_set(&mut rng, 120);
-        let (eps, min_pts) = params(&mut rng, 1.0, 80.0, 2, 8);
-        let seq = Dbscan::new(eps, min_pts).fit(&ps).clustering;
-        let par = ParallelDbscan::new(eps, min_pts, 3).fit(&ps).clustering;
-        assert_eq!(seq.num_clusters(), par.num_clusters());
-        let scan = LinearScan::build(&ps);
-        let core: Vec<bool> = (0..ps.len())
-            .map(|i| scan.count_range(ps.point(i as u32), eps) >= min_pts)
-            .collect();
-        for i in 0..ps.len() {
-            assert_eq!(seq.is_noise(i), par.is_noise(i), "noise mismatch at {i}");
-            if !core[i] {
-                continue;
-            }
-            for j in (i + 1..ps.len()).step_by(5) {
-                if core[j] {
-                    assert_eq!(
-                        seq.get(i) == seq.get(j),
-                        par.get(i) == par.get(j),
-                        "core pair ({i}, {j})"
-                    );
-                }
-            }
-        }
-    }
-}
-
-#[test]
 fn rho_approx_never_loses_true_core_points() {
     use dbsvec_index::{LinearScan, RangeIndex};
     let mut rng = SplitMix64::new(0xAB03);
@@ -91,27 +59,6 @@ fn rho_approx_never_loses_true_core_points() {
 }
 
 #[test]
-fn fdbscan_never_invents_clusters() {
-    let mut rng = SplitMix64::new(0xAB04);
-    for _ in 0..48 {
-        // FDBSCAN queries a subset of points, so it can only fragment
-        // DBSCAN clusters, never join DBSCAN-separated core points; its
-        // noise is a superset of DBSCAN's (a border point whose only core
-        // neighbors were never chosen as representatives stays noise).
-        let ps = point_set(&mut rng, 100);
-        let (eps, min_pts) = params(&mut rng, 1.0, 60.0, 2, 6);
-        let exact = Dbscan::new(eps, min_pts).fit(&ps).clustering;
-        let fast = FDbscan::new(eps, min_pts).fit(&ps).clustering;
-        assert!(fast.num_clusters() >= exact.num_clusters());
-        for i in 0..ps.len() {
-            if exact.is_noise(i) {
-                assert!(fast.is_noise(i), "DBSCAN noise {i} clustered by FDBSCAN");
-            }
-        }
-    }
-}
-
-#[test]
 fn labels_always_cover_every_point() {
     let mut rng = SplitMix64::new(0xAB05);
     for _ in 0..48 {
@@ -123,7 +70,6 @@ fn labels_always_cover_every_point() {
             RhoApproxDbscan::new(eps, min_pts, 0.001)
                 .fit(&ps)
                 .clustering,
-            FDbscan::new(eps, min_pts).fit(&ps).clustering,
         ] {
             assert_eq!(clustering.len(), ps.len());
             let total: usize = clustering.cluster_sizes().iter().sum();

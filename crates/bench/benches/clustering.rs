@@ -14,9 +14,7 @@
 //! enforced as a hard assert under `MICROBENCH_ENFORCE=1` (quick-mode
 //! sampling is too noisy for CI to assert unconditionally).
 
-use dbsvec_baselines::{
-    Dbscan, DbscanLsh, FDbscan, Hdbscan, KMeans, NqDbscan, ParallelDbscan, RhoApproxDbscan,
-};
+use dbsvec_baselines::{Dbscan, DbscanLsh, KMeans, NqDbscan, RhoApproxDbscan};
 use dbsvec_bench::micro::{black_box, Runner};
 use dbsvec_core::{Dbsvec, DbsvecConfig};
 use dbsvec_datasets::{random_walk_clusters, RandomWalkConfig};
@@ -98,29 +96,6 @@ fn bench_end_to_end(runner: &Runner) {
     runner.bench("kmeans", || {
         KMeans::new(10, 42)
             .fit(black_box(points))
-            .clustering
-            .num_clusters()
-    });
-    runner.bench("fdbscan", || {
-        FDbscan::new(eps, min_pts)
-            .fit(black_box(points))
-            .clustering
-            .num_clusters()
-    });
-    runner.bench("parallel_dbscan", || {
-        ParallelDbscan::new(eps, min_pts, 0)
-            .fit(black_box(points))
-            .clustering
-            .num_clusters()
-    });
-
-    // HDBSCAN's O(n^2) MST dominates; bench it at a smaller n.
-    let small_n = runner.size(5_000, 1_000);
-    let small = random_walk_clusters(&RandomWalkConfig::paper_default(small_n, 8), 42);
-    println!("hdbscan_{}k_8d", small_n / 1000);
-    runner.bench("hdbscan", || {
-        Hdbscan::new(5, 50)
-            .fit(black_box(&small.points))
             .clustering
             .num_clusters()
     });

@@ -2,8 +2,13 @@
 //!
 //! The paper's complexity table claims DBSVEC needs `O(θn)` time with
 //! `θ = s + 1 + k + m + MinPts·l ≪ n` (§III-D), versus DBSCAN's `O(n²)`
-//! (n range queries). This harness runs both over a counting index and
-//! prints the θ decomposition so the claim is checkable on any workload.
+//! (n range queries). This harness fits DBSVEC over an R\*-tree, prints
+//! the θ decomposition from the fit's `DbsvecStats` (folded from its event
+//! stream), and prints n as DBSCAN's count: one query per point. The
+//! check that `range_queries` equals what the index saw is made by
+//! `CountingIndex` in two tests,
+//! `dbsvec::tests::uses_far_fewer_range_queries_than_points` and
+//! `tests/pipeline.rs`'s `reported_range_queries_match_the_index_counters`.
 
 use dbsvec_bench::harness::time;
 use dbsvec_bench::parse_args;

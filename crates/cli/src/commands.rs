@@ -4,9 +4,7 @@ use std::io::Write;
 use std::path::Path;
 use std::time::Instant;
 
-use dbsvec_baselines::{
-    Dbscan, DbscanLsh, FDbscan, Hdbscan, KMeans, NqDbscan, ParallelDbscan, RhoApproxDbscan,
-};
+use dbsvec_baselines::{Dbscan, DbscanLsh, KMeans, NqDbscan, RhoApproxDbscan};
 use dbsvec_core::sample::sample_candidates;
 use dbsvec_core::{
     Clustering, Dbsvec, DbsvecConfig, SamplingConfig, SamplingMode, DEFAULT_SAMPLING_SEED,
@@ -265,6 +263,16 @@ fn sampling_options(args: &ParsedArgs) -> Result<SamplingConfig, CliError> {
     Ok(SamplingConfig { mode, seed })
 }
 
+/// Reads `--min-pts`, defaulting to the cardinality-based value for `n`
+/// points, and rejects 0 before the panicking core builders see it.
+fn min_pts_option(args: &ParsedArgs, n: usize) -> Result<usize, CliError> {
+    let min_pts = args.get_or("min-pts", default_min_pts(n))?;
+    if min_pts == 0 {
+        return Err(CliError("--min-pts must be at least 1".to_string()));
+    }
+    Ok(min_pts)
+}
+
 /// Loads points (labels in the file are ignored) and resolves (ε, MinPts):
 /// explicit flags win; otherwise MinPts comes from the cardinality default
 /// and ε from the k-distance knee.
@@ -292,10 +300,14 @@ fn load_with_params_sampled(
     if points.is_empty() {
         return Err(CliError(format!("{input}: no points")));
     }
-    let min_pts = args.get_or("min-pts", default_min_pts(points.len()))?;
+    let min_pts = min_pts_option(args, points.len())?;
     let eps = match args.get_parsed::<f64>("eps")? {
-        Some(e) if e > 0.0 => e,
-        Some(e) => return Err(CliError(format!("--eps must be positive, got {e}"))),
+        Some(e) if e.is_finite() && e > 0.0 => e,
+        Some(e) => {
+            return Err(CliError(format!(
+                "--eps must be positive and finite, got {e}"
+            )))
+        }
         None => {
             let index = KdTree::build(&points);
             let profile = match sample_candidates(&points, sampling) {
@@ -307,6 +319,11 @@ fn load_with_params_sampled(
                 None => k_distance_profile(&points, &index, min_pts, 500),
             };
             let eps = knee_epsilon(&profile).unwrap_or_else(|| suggest_eps(&points, min_pts, 1));
+            if eps <= 0.0 {
+                return Err(CliError(format!(
+                    "the {min_pts}-distance knee is 0 (too many duplicate points); pass --eps"
+                )));
+            }
             writeln!(
                 out,
                 "derived eps = {eps:.6} from the {min_pts}-distance knee"
@@ -344,7 +361,6 @@ pub fn cluster(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
         "svg",
         "seed",
         "k",
-        "min-cluster-size",
         "stats",
         "trace",
         "profile",
@@ -420,10 +436,6 @@ pub fn cluster(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
                 None,
             )
         }
-        "parallel-dbscan" => (
-            ParallelDbscan::new(eps, min_pts, 0).fit(&points).clustering,
-            None,
-        ),
         "rho-approx" => (
             RhoApproxDbscan::new(eps, min_pts, 0.001)
                 .fit(&points)
@@ -440,21 +452,12 @@ pub fn cluster(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
                 .clustering,
             None,
         ),
-        "fdbscan" => (FDbscan::new(eps, min_pts).fit(&points).clustering, None),
         "kmeans" => {
             let k: usize = args.get_or("k", 8)?;
+            if k == 0 {
+                return Err(CliError("--k must be at least 1".to_string()));
+            }
             (KMeans::new(k, seed).fit(&points).clustering, None)
-        }
-        "hdbscan" => {
-            let mcs: usize = args.get_or("min-cluster-size", min_pts.max(5))?;
-            let result = Hdbscan::new(min_pts, mcs).fit(&points);
-            (
-                result.clustering,
-                Some(format!(
-                    "condensed clusters {}, selected {}",
-                    result.stats.condensed_clusters, result.stats.selected_clusters
-                )),
-            )
         }
         other => return Err(CliError(format!("unknown algorithm {other:?}"))),
     };
@@ -562,7 +565,7 @@ pub fn suggest(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
     if points.is_empty() {
         return Err(CliError(format!("{input}: no points")));
     }
-    let min_pts = args.get_or("min-pts", default_min_pts(points.len()))?;
+    let min_pts = min_pts_option(args, points.len())?;
     let index = KdTree::build(&points);
     let profile = k_distance_profile(&points, &index, min_pts, 500);
     let knee = knee_epsilon(&profile);
@@ -1368,13 +1371,10 @@ mod tests {
             "dbsvec-min",
             "dbscan",
             "kd-dbscan",
-            "parallel-dbscan",
             "rho-approx",
             "dbscan-lsh",
             "nq-dbscan",
-            "fdbscan",
             "kmeans",
-            "hdbscan",
         ] {
             let text = run_ok(&[
                 "cluster",
@@ -1536,6 +1536,74 @@ mod tests {
             run_err(&["generate", "--dataset", "nope", "--output", "/tmp/x.csv"])
                 .contains("unknown dataset")
         );
+        std::fs::remove_file(&data).ok();
+    }
+
+    #[test]
+    fn out_of_range_parameters_are_typed_errors() {
+        let data = tempfile("ranges.csv");
+        let data_s = data.to_str().unwrap();
+        run_ok(&[
+            "generate",
+            "--dataset",
+            "moons",
+            "--n",
+            "100",
+            "--output",
+            data_s,
+        ]);
+        let save = ["--save", "/dev/null"];
+        for (command, extra) in [
+            ("cluster", &[][..]),
+            ("compare", &[][..]),
+            ("fit", &save[..]),
+        ] {
+            let run = |flags: &[&str]| {
+                let mut v = vec![command, "--input", data_s];
+                v.extend_from_slice(flags);
+                v.extend_from_slice(extra);
+                run_err(&v)
+            };
+            for eps in ["0", "-1", "inf", "NaN"] {
+                let err = run(&["--eps", eps, "--min-pts", "5"]);
+                assert!(
+                    err.contains("--eps must be positive and finite"),
+                    "{command}: {err}"
+                );
+            }
+            let err = run(&["--eps", "0.2", "--min-pts", "0"]);
+            assert!(
+                err.contains("--min-pts must be at least 1"),
+                "{command}: {err}"
+            );
+        }
+        // The knee derivation (no --eps) reads --min-pts first.
+        let err = run_err(&["cluster", "--input", data_s, "--min-pts", "0"]);
+        assert!(err.contains("--min-pts must be at least 1"), "{err}");
+        let err = run_err(&["suggest", "--input", data_s, "--min-pts", "0"]);
+        assert!(err.contains("--min-pts must be at least 1"), "{err}");
+        let err = run_err(&[
+            "cluster",
+            "--input",
+            data_s,
+            "--algorithm",
+            "kmeans",
+            "--eps",
+            "0.2",
+            "--k",
+            "0",
+        ]);
+        assert!(err.contains("--k must be at least 1"), "{err}");
+
+        // Duplicate points put the k-distance knee at 0: no ε to derive.
+        let rows = "x,y\n".to_string() + &"1,1\n".repeat(12);
+        std::fs::write(&data, rows).unwrap();
+        for command in ["cluster", "compare"] {
+            let err = run_err(&[command, "--input", data_s]);
+            assert!(err.contains("knee is 0"), "{command}: {err}");
+        }
+        let err = run_err(&["fit", "--input", data_s, "--save", "/dev/null"]);
+        assert!(err.contains("knee is 0"), "{err}");
         std::fs::remove_file(&data).ok();
     }
 

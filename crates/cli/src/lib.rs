@@ -90,9 +90,8 @@ USAGE:
   dbsvec-cli monitor-report --input metrics.prom [--expect-refit | --expect-fresh]
 
 ALGORITHMS (for --algorithm):
-  dbsvec (default) | dbsvec-min | dbscan | kd-dbscan | parallel-dbscan |
-  rho-approx | dbscan-lsh | nq-dbscan | fdbscan | kmeans (uses --k) |
-  hdbscan (uses --min-cluster-size; --min-pts doubles as min_samples)
+  dbsvec (default) | dbsvec-min | dbscan | kd-dbscan | rho-approx |
+  dbscan-lsh | nq-dbscan | kmeans (uses --k)
 
 DATASETS (for --dataset):
   t48k | t710k | moons | spirals | walk (uses --n, --dims)

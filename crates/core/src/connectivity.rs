@@ -1,13 +1,13 @@
 //! Dynamic connectivity over the core graph: a spanning forest with
 //! replacement-edge search.
 //!
-//! [`crate::UnionFind`] answers "same component?" under edge *insertions*
-//! only — exactly what the fit's sub-cluster merging needs. The serving
-//! engine's decremental maintenance also needs edge and vertex
-//! **deletions**: removing or demoting a core point may disconnect its
-//! cluster, and the engine must discover the split (and each resulting
-//! piece) exactly. [`Connectivity`] generalizes the union–find into a
-//! structure that supports both directions:
+//! The fit's union–find (`unionfind::UnionFind`) answers "same
+//! component?" under edge *insertions* only — exactly what sub-cluster
+//! merging needs. The serving engine's decremental maintenance also needs
+//! edge and vertex **deletions**: removing or demoting a core point may
+//! disconnect its cluster, and the engine must discover the split (and
+//! each resulting piece) exactly. [`Connectivity`] generalizes the
+//! union–find into a structure that supports both directions:
 //!
 //! * every component is spanned by a forest (`tree` adjacency);
 //! * edges that close a cycle are parked as *non-tree* edges (`extra`);

@@ -58,7 +58,7 @@ pub mod predict;
 pub(crate) mod runner;
 pub mod sample;
 pub mod stats;
-pub mod unionfind;
+mod unionfind;
 
 pub use config::{DbsvecConfig, NuStrategy, SamplingConfig, SamplingMode, DEFAULT_SAMPLING_SEED};
 pub use connectivity::Connectivity;
@@ -66,4 +66,3 @@ pub use dbsvec::{dbsvec, Dbsvec, DbsvecResult};
 pub use labels::{Clustering, WorkingLabels};
 pub use predict::{ClusterModel, ModelError};
 pub use stats::DbsvecStats;
-pub use unionfind::UnionFind;

@@ -27,16 +27,6 @@ impl UnionFind {
         id
     }
 
-    /// Number of ids ever created (not the number of disjoint sets).
-    pub fn len(&self) -> usize {
-        self.parent.len()
-    }
-
-    /// Whether no sets exist.
-    pub fn is_empty(&self) -> bool {
-        self.parent.is_empty()
-    }
-
     /// Representative of `x`'s set, with path halving.
     pub fn find(&mut self, x: u32) -> u32 {
         let mut x = x;
@@ -156,6 +146,5 @@ mod tests {
         let (labels, count) = uf.compact_labels();
         assert!(labels.is_empty());
         assert_eq!(count, 0);
-        assert!(uf.is_empty());
     }
 }

@@ -20,7 +20,7 @@ use crate::traits::RangeIndex;
 /// # Panics
 ///
 /// Panics if `k == 0`.
-pub fn kth_neighbor_distance<I: RangeIndex>(
+fn kth_neighbor_distance<I: RangeIndex>(
     points: &PointSet,
     index: &I,
     id: PointId,

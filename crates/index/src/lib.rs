@@ -17,9 +17,9 @@
 //!   for DBSVEC, which callers pass to `fit_with_index`).
 //!
 //! [`k_distance_profile`] and [`knee_epsilon`] derive ε from any engine.
-//! [`CountingIndex`] wraps any engine and counts queries/candidate
-//! inspections so the experiments can report the θ decomposition of the
-//! paper's Table II.
+//! [`CountingIndex`] wraps any engine and counts the queries and results
+//! it answers: tests use it to check that a fit's reported range-query
+//! count (the θ of the paper's Table II) equals what the index saw.
 //!
 //! All engines borrow the [`dbsvec_geometry::PointSet`] they index; they
 //! never copy coordinates. Build once, query many times.
@@ -45,9 +45,7 @@ pub mod rstar;
 pub mod stats;
 pub mod traits;
 
-pub use kdist::{
-    k_distance_profile, k_distance_profile_for_ids, knee_epsilon, kth_neighbor_distance,
-};
+pub use kdist::{k_distance_profile, k_distance_profile_for_ids, knee_epsilon};
 pub use kdtree::{nearer, KdTree, OwnedKdTree};
 pub use linear::LinearScan;
 pub use rstar::RStarTree;

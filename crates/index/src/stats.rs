@@ -1,6 +1,15 @@
-//! Query-counting wrapper used by the Table II complexity experiment.
+//! Query-counting wrapper: the index's own count of the range queries a
+//! clusterer issued.
+//!
+//! The fit reports its range queries in `DbsvecStats`, folded from its
+//! event stream; the Table II harness (`table2_complexity`) prints those.
+//! [`CountingIndex`] is the independent check that the fold matches what
+//! the index actually saw, in two tests:
+//! `dbsvec::tests::uses_far_fewer_range_queries_than_points` (in
+//! `dbsvec-core`) and `tests/pipeline.rs`'s
+//! `reported_range_queries_match_the_index_counters`.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use crate::traits::RangeIndex;
 use dbsvec_geometry::PointId;
@@ -27,18 +36,12 @@ impl QueryStats {
 
 /// Wraps any [`RangeIndex`] and counts the queries flowing through it.
 ///
-/// The paper's complexity analysis (§III-D) claims DBSVEC issues
-/// `O(s + 1 + k + m + MinPts·l)` range queries versus DBSCAN's `n`; wrapping
-/// both algorithms' indexes in `CountingIndex` lets the Table II harness
-/// verify that claim empirically. Counters use relaxed [`AtomicU64`]s so the
-/// wrapper stays usable behind the `&self` query interface *and* stays
-/// `Sync` — parallel DBSCAN queries a shared index from scoped threads,
-/// and the totals must still come out exact (each query increments once;
-/// no ordering between queries is needed).
+/// Counters are [`Cell`]s so the wrapper stays usable behind the `&self`
+/// query interface.
 pub struct CountingIndex<I> {
     inner: I,
-    queries: AtomicU64,
-    results: AtomicU64,
+    queries: Cell<u64>,
+    results: Cell<u64>,
 }
 
 impl<I: RangeIndex> CountingIndex<I> {
@@ -46,28 +49,33 @@ impl<I: RangeIndex> CountingIndex<I> {
     pub fn new(inner: I) -> Self {
         Self {
             inner,
-            queries: AtomicU64::new(0),
-            results: AtomicU64::new(0),
+            queries: Cell::new(0),
+            results: Cell::new(0),
         }
     }
 
     /// Snapshot of the counters.
     pub fn stats(&self) -> QueryStats {
         QueryStats {
-            queries: self.queries.load(Ordering::Relaxed),
-            results: self.results.load(Ordering::Relaxed),
+            queries: self.queries.get(),
+            results: self.results.get(),
         }
     }
 
     /// Resets the counters to zero.
     pub fn reset(&self) {
-        self.queries.store(0, Ordering::Relaxed);
-        self.results.store(0, Ordering::Relaxed);
+        self.queries.set(0);
+        self.results.set(0);
     }
 
     /// Unwraps the inner engine.
     pub fn into_inner(self) -> I {
         self.inner
+    }
+
+    fn tally(&self, results: u64) {
+        self.queries.set(self.queries.get() + 1);
+        self.results.set(self.results.get() + results);
     }
 }
 
@@ -75,15 +83,12 @@ impl<I: RangeIndex> RangeIndex for CountingIndex<I> {
     fn range(&self, query: &[f64], eps: f64, out: &mut Vec<PointId>) {
         let before = out.len();
         self.inner.range(query, eps, out);
-        self.queries.fetch_add(1, Ordering::Relaxed);
-        self.results
-            .fetch_add((out.len() - before) as u64, Ordering::Relaxed);
+        self.tally((out.len() - before) as u64);
     }
 
     fn count_range(&self, query: &[f64], eps: f64) -> usize {
         let n = self.inner.count_range(query, eps);
-        self.queries.fetch_add(1, Ordering::Relaxed);
-        self.results.fetch_add(n as u64, Ordering::Relaxed);
+        self.tally(n as u64);
         n
     }
 

@@ -34,7 +34,7 @@
 //! | [`svdd`] | `dbsvec-svdd` | weighted SVDD trained by a from-scratch SMO solver; 2-D boundary extraction |
 //! | [`core`] | `dbsvec-core` | the DBSVEC algorithm, its ablation variants, out-of-sample prediction |
 //! | [`lsh`] | `dbsvec-lsh` | p-stable LSH substrate |
-//! | [`baselines`] | `dbsvec-baselines` | DBSCAN, ρ-approximate DBSCAN, DBSCAN-LSH, NQ-DBSCAN, FDBSCAN, k-means, parallel DBSCAN, HDBSCAN\* |
+//! | [`baselines`] | `dbsvec-baselines` | DBSCAN, ρ-approximate DBSCAN, DBSCAN-LSH, NQ-DBSCAN, k-means |
 //! | [`metrics`] | `dbsvec-metrics` | pair recall/precision/F1, Fowlkes–Mallows, ARI, NMI, silhouette, Davies–Bouldin |
 //! | [`datasets`] | `dbsvec-datasets` | deterministic synthetic generators, CSV I/O, SVG scatter plots |
 //! | [`obs`] | `dbsvec-obs` | run-trace observers: phase spans, typed events, JSONL sink, replay, profiling; telemetry registry with latency histograms and Prometheus/JSON exposition |

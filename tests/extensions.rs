@@ -1,13 +1,11 @@
-//! Integration tests for the beyond-the-paper extensions: FDBSCAN,
-//! parallel DBSCAN, HDBSCAN, out-of-sample prediction, and the SVDD
-//! boundary extraction — exercised together through the facade — plus
-//! DBSVEC answered by a second exact index engine.
+//! Integration tests for the beyond-the-paper extensions: out-of-sample
+//! prediction and the SVDD boundary extraction — exercised together
+//! through the facade — plus DBSVEC answered by a second exact index
+//! engine.
 
-use dbsvec::baselines::{Dbscan, FDbscan, Hdbscan, ParallelDbscan};
 use dbsvec::core::ClusterModel;
-use dbsvec::datasets::{gaussian_mixture, two_moons};
+use dbsvec::datasets::gaussian_mixture;
 use dbsvec::index::KdTree;
-use dbsvec::metrics::{pair_f1, recall};
 use dbsvec::svdd::{
     decision_boundary_around_targets, kernel_width_center_radius, GaussianKernel, SvddProblem,
 };
@@ -30,36 +28,6 @@ fn dbsvec_over_a_kd_tree_matches_the_rtree_run() {
     assert!(
         (a.range_queries as f64 - b.range_queries as f64).abs() <= 0.05 * a.range_queries as f64
     );
-}
-
-#[test]
-fn parallel_dbscan_agrees_with_dbsvec_on_core_structure() {
-    let ds = gaussian_mixture(2000, 4, 6, 800.0, 1e5, 5);
-    let eps = dbsvec::datasets::standins::suggest_eps(&ds.points, 8, 2);
-    let par = ParallelDbscan::new(eps, 8, 4).fit(&ds.points);
-    let svec = Dbsvec::new(DbsvecConfig::new(eps, 8)).fit(&ds.points);
-    let r = recall(par.clustering.assignments(), svec.labels().assignments());
-    assert!(r > 0.999, "recall {r}");
-    assert_eq!(par.clustering.num_clusters(), svec.num_clusters());
-}
-
-#[test]
-fn fdbscan_approximates_and_hdbscan_generalizes() {
-    let moons = two_moons(2000, 0.05, 9);
-    let exact = Dbscan::new(0.12, 6).fit(&moons.points).clustering;
-    assert_eq!(exact.num_clusters(), 2);
-
-    // FDBSCAN: far fewer queries, approximately the same clustering.
-    let fast = FDbscan::new(0.12, 6).fit(&moons.points);
-    assert!(fast.stats.range_queries < 2000 / 2);
-    let f1 = pair_f1(exact.assignments(), fast.clustering.assignments());
-    assert!(f1 > 0.8, "FDBSCAN F1 {f1}");
-
-    // HDBSCAN: no eps at all, same two moons.
-    let hier = Hdbscan::new(6, 40).fit(&moons.points);
-    assert_eq!(hier.clustering.num_clusters(), 2);
-    let r = recall(exact.assignments(), hier.clustering.assignments());
-    assert!(r > 0.95, "HDBSCAN recall {r}");
 }
 
 #[test]

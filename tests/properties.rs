@@ -198,7 +198,7 @@ fn dbsvec_theorems_hold_on_adversarial_random_data() {
 }
 
 #[test]
-fn dbsvec_core_points_have_dense_neighborhoods_at_any_thread_count() {
+fn dbsvec_core_points_have_dense_neighborhoods() {
     let mut rng = SplitMix64::new(0xF00C);
     for _ in 0..64 {
         let ps = point_set(&mut rng, 130, 3);
@@ -217,7 +217,7 @@ fn dbsvec_core_points_have_dense_neighborhoods_at_any_thread_count() {
 }
 
 #[test]
-fn dbsvec_clustered_points_touch_a_core_of_their_cluster_at_any_thread_count() {
+fn dbsvec_clustered_points_touch_a_core_of_their_cluster() {
     let mut rng = SplitMix64::new(0xF00D);
     for _ in 0..64 {
         let ps = point_set(&mut rng, 130, 2);
@@ -250,7 +250,7 @@ fn dbsvec_clustered_points_touch_a_core_of_their_cluster_at_any_thread_count() {
 }
 
 #[test]
-fn dbsvec_noise_verification_never_attaches_beyond_eps_at_any_thread_count() {
+fn dbsvec_noise_verification_never_attaches_beyond_eps() {
     let mut rng = SplitMix64::new(0xF00E);
     for _ in 0..64 {
         let ps = point_set(&mut rng, 120, 3);
@@ -346,7 +346,7 @@ fn sampled_attachment_stays_within_eps_of_a_same_cluster_core() {
 /// A full-coverage draw is not "approximately" exact — it must be the
 /// exact fit bit for bit: same labels, same stats, same core set.
 #[test]
-fn sampling_rate_one_is_bit_identical_to_exact_at_any_thread_count() {
+fn sampling_rate_one_is_bit_identical_to_exact() {
     let mut rng = SplitMix64::new(0xF014);
     for round in 0..32u64 {
         let ps = point_set(&mut rng, 120, 3);
