@@ -319,11 +319,7 @@ fn load_with_params_sampled(
                 None => k_distance_profile(&points, &index, min_pts, 500),
             };
             let eps = knee_epsilon(&profile).unwrap_or_else(|| suggest_eps(&points, min_pts, 1));
-            if eps <= 0.0 {
-                return Err(CliError(format!(
-                    "the {min_pts}-distance knee is 0 (too many duplicate points); pass --eps"
-                )));
-            }
+            let eps = nonzero_knee(eps, min_pts)?;
             writeln!(
                 out,
                 "derived eps = {eps:.6} from the {min_pts}-distance knee"
@@ -332,6 +328,18 @@ fn load_with_params_sampled(
         }
     };
     Ok((points, eps, min_pts))
+}
+
+/// A derived ε of 0 — the k-distance knee of data made of duplicate
+/// points — is no usable ε, so the caller must pass one.
+fn nonzero_knee(eps: f64, min_pts: usize) -> Result<f64, CliError> {
+    if eps > 0.0 {
+        Ok(eps)
+    } else {
+        Err(CliError(format!(
+            "the {min_pts}-distance knee is 0 (too many duplicate points); pass --eps"
+        )))
+    }
 }
 
 fn print_summary(
@@ -568,7 +576,9 @@ pub fn suggest(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
     let min_pts = min_pts_option(args, points.len())?;
     let index = KdTree::build(&points);
     let profile = k_distance_profile(&points, &index, min_pts, 500);
-    let knee = knee_epsilon(&profile);
+    let knee = knee_epsilon(&profile)
+        .map(|eps| nonzero_knee(eps, min_pts))
+        .transpose()?;
     writeln!(
         out,
         "n = {}, d = {}, MinPts = {min_pts}",
@@ -1603,6 +1613,8 @@ mod tests {
             assert!(err.contains("knee is 0"), "{command}: {err}");
         }
         let err = run_err(&["fit", "--input", data_s, "--save", "/dev/null"]);
+        assert!(err.contains("knee is 0"), "{err}");
+        let err = run_err(&["suggest", "--input", data_s]);
         assert!(err.contains("knee is 0"), "{err}");
         std::fs::remove_file(&data).ok();
     }

@@ -65,8 +65,8 @@ impl DbsvecResult {
     /// Ids of the points *verified* as core during the run (seeds, core
     /// support vectors, merge/noise-verification tests). Every clustered
     /// point lies within ε of one of these — it was absorbed from such a
-    /// point's neighborhood — so they are exactly what
-    /// [`crate::predict::ClusterModel`] needs for out-of-sample
+    /// point's neighborhood — so they are exactly what a served model
+    /// (`dbsvec_engine::ModelArtifact`) needs for out-of-sample
     /// classification.
     pub fn core_points(&self) -> &[PointId] {
         &self.core_points

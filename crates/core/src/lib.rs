@@ -54,7 +54,6 @@ pub mod dbsvec;
 pub mod expand;
 pub mod labels;
 pub mod noise;
-pub mod predict;
 pub(crate) mod runner;
 pub mod sample;
 pub mod stats;
@@ -64,5 +63,4 @@ pub use config::{DbsvecConfig, NuStrategy, SamplingConfig, SamplingMode, DEFAULT
 pub use connectivity::Connectivity;
 pub use dbsvec::{dbsvec, Dbsvec, DbsvecResult};
 pub use labels::{Clustering, WorkingLabels};
-pub use predict::{ClusterModel, ModelError};
 pub use stats::DbsvecStats;

@@ -94,7 +94,7 @@ impl<'a, I: RangeIndex> RunState<'a, I> {
         self.queried[id as usize] = true;
         // Only candidates can hold core status: the sampled mode's density
         // estimate lives on the subsample, so the discovered core set (and
-        // the `ClusterModel` built from it) is a subset of the candidates.
+        // the served model built from it) is a subset of the candidates.
         let core = out.len() >= self.config.min_pts && self.is_candidate(id);
         self.core_status[id as usize] = if core {
             CoreStatus::Core

@@ -1,14 +1,16 @@
 //! The persistable summary of a fitted clustering.
 //!
-//! [`ModelArtifact`] is the serialization-friendly mirror of
-//! [`dbsvec_core::ClusterModel`]: the same core points, labels, and ε, plus
-//! the fit's MinPts (the online engine needs it for promotion) and,
-//! optionally, one trained SVDD boundary per cluster so a consumer can
-//! evaluate the paper's decision function F(x) against a persisted model
-//! without re-solving anything.
+//! [`ModelArtifact`] holds what out-of-sample classification needs from a
+//! fit: the verified core points, their labels, and ε, plus the fit's
+//! MinPts (the online engine needs it for promotion) and, optionally, one
+//! trained SVDD boundary per cluster so a consumer can evaluate the
+//! paper's decision function F(x) against a persisted model without
+//! re-solving anything. [`crate::Engine`] classifies against it;
+//! [`ModelArtifact::validate`] checks stored parts before they are served.
+
+use std::fmt;
 
 use dbsvec_core::labels::Clustering;
-use dbsvec_core::{ClusterModel, ModelError};
 use dbsvec_geometry::{PointId, PointSet};
 use dbsvec_index::KdTree;
 use dbsvec_obs::Histogram;
@@ -254,6 +256,38 @@ impl SamplingInfo {
     }
 }
 
+/// Why [`ModelArtifact::from_fit`] could not build an artifact from a
+/// clustering. A correct fit never produces these; they guard callers
+/// whose core ids, labels and ε do not belong together.
+#[derive(Clone, Debug, PartialEq)]
+pub enum ModelError {
+    /// ε was not finite and positive.
+    BadEps(f64),
+    /// A listed core point carries no cluster label.
+    NoiseCore(PointId),
+    /// A core id does not refer to a training point.
+    IdOutOfRange {
+        /// The offending id.
+        id: PointId,
+        /// Number of training points.
+        len: usize,
+    },
+}
+
+impl fmt::Display for ModelError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ModelError::BadEps(eps) => write!(f, "eps must be positive and finite, got {eps}"),
+            ModelError::NoiseCore(id) => write!(f, "core point {id} is unclustered (noise)"),
+            ModelError::IdOutOfRange { id, len } => {
+                write!(f, "core id {id} out of range for {len} points")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ModelError {}
+
 /// A fitted DBSVEC model in persistable form.
 ///
 /// Produced by [`ModelArtifact::from_fit`], written and read by
@@ -281,8 +315,12 @@ pub struct ModelArtifact {
 }
 
 impl ModelArtifact {
-    /// Builds an artifact from a finished clustering — the same inputs
-    /// [`ClusterModel::new`] takes, plus the fit's MinPts.
+    /// Builds an artifact from a finished clustering.
+    ///
+    /// `core_ids` are the training points that passed the core test (for
+    /// DBSVEC, [`dbsvec_core::DbsvecResult::core_points`]); every one of
+    /// them must be clustered. Rejects a non-positive ε, noise cores and
+    /// out-of-range ids instead of panicking.
     pub fn from_fit(
         points: &PointSet,
         clustering: &Clustering,
@@ -290,7 +328,24 @@ impl ModelArtifact {
         eps: f64,
         min_pts: u32,
     ) -> Result<Self, ModelError> {
-        let (cores, core_labels) = ClusterModel::core_parts(points, clustering, core_ids, eps)?;
+        if !(eps.is_finite() && eps > 0.0) {
+            return Err(ModelError::BadEps(eps));
+        }
+        let mut cores = PointSet::with_capacity(points.dims(), core_ids.len());
+        let mut core_labels = Vec::with_capacity(core_ids.len());
+        for &id in core_ids {
+            if id as usize >= points.len() {
+                return Err(ModelError::IdOutOfRange {
+                    id,
+                    len: points.len(),
+                });
+            }
+            let label = clustering
+                .get(id as usize)
+                .ok_or(ModelError::NoiseCore(id))?;
+            cores.push(points.point(id));
+            core_labels.push(label);
+        }
         Ok(Self {
             eps,
             min_pts,
@@ -391,17 +446,6 @@ impl ModelArtifact {
             margin,
         });
         self
-    }
-
-    /// Reconstructs the in-memory classification model, re-validating the
-    /// stored parts (the snapshot-load path runs through this).
-    pub fn model(&self) -> Result<ClusterModel, ModelError> {
-        ClusterModel::from_parts(
-            self.cores.clone(),
-            self.core_labels.clone(),
-            self.eps,
-            self.num_clusters as usize,
-        )
     }
 
     /// Dimensionality of the model's space.
@@ -526,8 +570,26 @@ mod tests {
         assert_eq!(artifact.cores.len(), result.core_points().len());
         assert_eq!(artifact.min_pts, min_pts);
         artifact.validate().expect("fresh artifact validates");
-        let model = artifact.model().expect("reconstructs");
-        assert_eq!(model.core_count(), artifact.cores.len());
+        assert_eq!(
+            crate::Engine::new(&artifact).core_count(),
+            artifact.cores.len()
+        );
+    }
+
+    #[test]
+    fn from_fit_rejects_corrupt_inputs() {
+        let ps = PointSet::from_rows(&[vec![0.0], vec![10.0]]);
+        let clustering = Clustering::from_assignments(vec![Some(0), None]);
+        let from_fit = |core_ids: &[PointId], eps| {
+            ModelArtifact::from_fit(&ps, &clustering, core_ids, eps, 1).unwrap_err()
+        };
+        assert_eq!(from_fit(&[0], 0.0), ModelError::BadEps(0.0));
+        assert!(matches!(from_fit(&[0], f64::NAN), ModelError::BadEps(_)));
+        assert_eq!(from_fit(&[1], 1.0), ModelError::NoiseCore(1));
+        assert_eq!(
+            from_fit(&[7], 1.0),
+            ModelError::IdOutOfRange { id: 7, len: 2 }
+        );
     }
 
     #[test]

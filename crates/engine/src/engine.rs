@@ -1305,6 +1305,12 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "dimensionality mismatch")]
+    fn classify_rejects_wrong_dimensionality() {
+        let _ = Engine::new(&grid_artifact()).classify(&[1.0, 2.0, 3.0]);
+    }
+
+    #[test]
     fn batch_agrees_with_single() {
         let mut engine = Engine::new(&grid_artifact());
         let queries: Vec<[f64; 2]> = (0..200)

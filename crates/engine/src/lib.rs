@@ -61,7 +61,9 @@ pub mod metrics;
 pub mod monitor;
 pub mod snapshot;
 
-pub use artifact::{ClusterBoundary, ModelArtifact, QualityBaseline, SampledMode, SamplingInfo};
+pub use artifact::{
+    ClusterBoundary, ModelArtifact, ModelError, QualityBaseline, SampledMode, SamplingInfo,
+};
 pub use engine::{
     Assignment, Engine, EngineConfig, EngineStats, HealthSnapshot, IngestOutcome, RemoveOutcome,
     REFIT_THRESHOLD,

@@ -24,9 +24,9 @@
 //!   *and* trace).
 //! * [`ProfileReport`] — renders the phase-time + θ breakdown table.
 //! * [`telemetry`] — serving metrics: a [`Registry`] of named counters,
-//!   gauges, and log-linear latency [`Histogram`]s; Prometheus/JSON
-//!   exposition; and a [`MetricsObserver`] bridging this trait seam into
-//!   the registry, its counters a view of its own [`ReplayCounts`] fold.
+//!   gauges, and log-linear latency [`Histogram`]s, and their
+//!   Prometheus/JSON exposition. The serving engine's registry shows
+//!   counters read off its [`ReplayCounts`] fold.
 //! * [`json`] — the hand-rolled JSON value writer everything above (and
 //!   the bench harness's `BENCH_*.json` output) shares. No external
 //!   dependencies anywhere in this crate.
@@ -52,4 +52,4 @@ pub use observer::{NoopObserver, Observer, Tee};
 pub use recording::{PhaseTimings, Record, RecordingObserver};
 pub use replay::ReplayCounts;
 pub use report::ProfileReport;
-pub use telemetry::{Histogram, HistogramSummary, MetricsObserver, Registry};
+pub use telemetry::{Histogram, HistogramSummary, Registry};

@@ -2,8 +2,8 @@
 //!
 //! [`ReplayCounts::record`] is the one place an [`Event`] becomes counts.
 //! The fit and the serving engine fold every event they emit through it,
-//! and build `DbsvecStats` and `EngineStats` from that fold; the
-//! `MetricsObserver` fills its counters from the same fold. A trace is
+//! and build `DbsvecStats` and `EngineStats` from that fold; the engine's
+//! `EngineMetrics` counters show `EngineStats`. A trace is
 //! therefore *complete* iff replaying it reproduces the run's stats, field
 //! for field — `tests/` and the CLI's `--profile` path both check this.
 

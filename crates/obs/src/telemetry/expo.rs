@@ -11,11 +11,14 @@
 //! [`parse_prometheus`] is the validating inverse used by the
 //! `metrics-report` CLI command, the CI smoke job, and the golden tests;
 //! it parses every sample line (names, labels, values, optional
-//! timestamps) and rejects malformed lines with a line number.
+//! timestamps) and rejects malformed lines, and a family described twice,
+//! with a line number.
 //!
 //! The JSON rendering shares [`crate::json::Json`] with the trace layer,
 //! so `--metrics-file metrics.json` dumps parse with the same
 //! [`crate::json::parse`] the JSONL golden tests use.
+
+use std::collections::HashSet;
 
 use crate::json::Json;
 use crate::telemetry::registry::Registry;
@@ -200,9 +203,13 @@ fn parse_labels(rest: &str, lineno: usize) -> Result<(Labels, &str), String> {
 
 /// Parses a Prometheus text dump into its sample lines, validating the
 /// whole document. `# HELP` / `# TYPE` comments are checked for shape and
-/// skipped; other comments are ignored per the format spec.
+/// skipped; a second one for the same family is an error, as in
+/// Prometheus's own parser, so two sections that register one name cannot
+/// be concatenated unnoticed. Other comments are ignored per the format
+/// spec.
 pub fn parse_prometheus(text: &str) -> Result<Vec<Sample>, String> {
     let mut samples = Vec::new();
+    let mut described: HashSet<(&str, String)> = HashSet::new();
     for (i, raw) in text.lines().enumerate() {
         let lineno = i + 1;
         let line = raw.trim();
@@ -211,14 +218,20 @@ pub fn parse_prometheus(text: &str) -> Result<Vec<Sample>, String> {
         }
         if let Some(comment) = line.strip_prefix('#') {
             let comment = comment.trim_start();
-            if let Some(body) = comment.strip_prefix("TYPE") {
-                let (_, rest) = parse_name(body.trim_start(), lineno)?;
+            let (keyword, family) = if let Some(body) = comment.strip_prefix("TYPE") {
+                let (family, rest) = parse_name(body.trim_start(), lineno)?;
                 let kind = rest.trim();
                 if !["counter", "gauge", "summary", "histogram", "untyped"].contains(&kind) {
                     return Err(format!("line {lineno}: unknown TYPE {kind:?}"));
                 }
+                ("TYPE", family)
             } else if let Some(body) = comment.strip_prefix("HELP") {
-                parse_name(body.trim_start(), lineno)?;
+                ("HELP", parse_name(body.trim_start(), lineno)?.0)
+            } else {
+                continue;
+            };
+            if !described.insert((keyword, family.clone())) {
+                return Err(format!("line {lineno}: second # {keyword} for {family}"));
             }
             continue;
         }
@@ -380,6 +393,10 @@ escaped{msg=\"say \\\"hi\\\"\\n\"} 1
             "name{key=unquoted} 1\n",
             "name 1 2 3\n",
             "# TYPE x mystery\n",
+            // A family described twice, as two concatenated sections that
+            // both register `x` would be.
+            "# HELP x One.\nx 1\n# HELP x Two.\n",
+            "# TYPE x counter\nx 1\n# TYPE x gauge\n",
         ] {
             assert!(parse_prometheus(bad).is_err(), "accepted: {bad:?}");
         }

@@ -200,11 +200,6 @@ impl Registry {
         self.gauges.iter().find(|m| m.name == name).map(|m| m.value)
     }
 
-    /// A registered histogram by name.
-    pub fn histogram_by_name(&self, name: &str) -> Option<&HistogramMetric> {
-        self.hists.iter().find(|m| m.name == name)
-    }
-
     /// All counters as `(name, help, value)` in registration order.
     pub fn counters(&self) -> impl Iterator<Item = (&str, &str, u64)> {
         self.counters
@@ -254,7 +249,7 @@ mod tests {
 
         assert_eq!(reg.counter_value("requests_total"), Some(5));
         assert_eq!(reg.gauge_value("staleness_ratio"), Some(0.25));
-        let hm = reg.histogram_by_name("latency_seconds").unwrap();
+        let hm = reg.histogram_at(h);
         assert_eq!(hm.histogram().count(), 2);
         assert_eq!(hm.ticks_per_unit(), 1e9);
         assert_eq!(hm.scaled(2_000.0), 0.000002);

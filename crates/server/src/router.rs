@@ -22,8 +22,10 @@
 //! rows per shard and take each shard lock once, then scatter results
 //! back into request order.
 
+use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
+use std::time::Instant;
 
 use dbsvec_engine::{
     snapshot, Assignment, Engine, EngineConfig, EngineMetrics, EngineStats, HealthSnapshot,
@@ -43,6 +45,22 @@ pub struct RouteCost {
     pub lock_us: u64,
     /// Engine compute spent under those locks.
     pub engine_us: u64,
+}
+
+/// What a routed assign, ingest or remove answers: the response object
+/// and what computing it cost. Displays as the response's JSON text.
+#[derive(Debug)]
+pub struct Reply {
+    /// The response object.
+    pub body: Json,
+    /// Lock wait and engine time across the request's shard groups.
+    pub cost: RouteCost,
+}
+
+impl fmt::Display for Reply {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.body.fmt(f)
+    }
 }
 
 fn micros(d: std::time::Duration) -> u64 {
@@ -138,6 +156,63 @@ fn assignment_json(a: Assignment) -> Json {
         Some(c) => Json::UInt(c as u64),
         None => Json::Null,
     }
+}
+
+/// The response to an assign or ingest body: its one answer under `one`,
+/// or the count and every answer under `many` for the batch shape.
+fn answers_json(
+    name: &str,
+    batch: bool,
+    (one, many): (&'static str, &'static str),
+    answers: Vec<Json>,
+) -> Json {
+    if batch {
+        Json::obj([
+            ("model", Json::str(name)),
+            ("count", Json::UInt(answers.len() as u64)),
+            (many, Json::Arr(answers)),
+        ])
+    } else {
+        let answer = answers.into_iter().next().expect("single-point body");
+        Json::obj([("model", Json::str(name)), (one, answer)])
+    }
+}
+
+/// Runs one operation over a request's rows: groups the row indices by
+/// [`point_shard`], takes each shard's lock once, hands `work` that
+/// shard's rows in request order, and returns the answers in request
+/// order with the lock wait and engine time they took.
+fn per_shard<T: Copy>(
+    entry: &ModelEntry,
+    rows: &[Vec<f64>],
+    mut work: impl FnMut(&mut Shard, &[&[f64]]) -> Vec<T>,
+) -> (Vec<T>, RouteCost) {
+    let shard_count = entry.shards.len();
+    let mut groups: Vec<Vec<usize>> = vec![Vec::new(); shard_count];
+    for (i, row) in rows.iter().enumerate() {
+        groups[point_shard(row, shard_count)].push(i);
+    }
+    let mut answers: Vec<Option<T>> = vec![None; rows.len()];
+    let mut cost = RouteCost::default();
+    for (cell, group) in entry.shards.iter().zip(&groups) {
+        if group.is_empty() {
+            continue;
+        }
+        let lock_start = Instant::now();
+        let mut shard = cell.lock().unwrap();
+        cost.lock_us += micros(lock_start.elapsed());
+        let engine_start = Instant::now();
+        let group_rows: Vec<&[f64]> = group.iter().map(|&i| rows[i].as_slice()).collect();
+        for (&i, answer) in group.iter().zip(work(&mut shard, &group_rows)) {
+            answers[i] = Some(answer);
+        }
+        cost.engine_us += micros(engine_start.elapsed());
+    }
+    let answers = answers
+        .into_iter()
+        .map(|a| a.expect("every row was routed to a shard"))
+        .collect();
+    (answers, cost)
 }
 
 fn outcome_slug(out: IngestOutcome) -> &'static str {
@@ -302,130 +377,42 @@ impl Router {
 
     /// Classifies the body's points against `name`, hashing each point to
     /// its shard and batching per shard through [`Engine::assign_many`].
-    /// Returns the response object and the number of points served.
-    pub fn assign(&self, name: &str, body: &[u8]) -> Result<(Json, u64), HttpError> {
-        self.assign_traced(name, body, &mut RouteCost::default())
-    }
-
-    /// [`Router::assign`], accumulating per-shard lock-wait and engine
-    /// time into `cost`.
-    pub fn assign_traced(
-        &self,
-        name: &str,
-        body: &[u8],
-        cost: &mut RouteCost,
-    ) -> Result<(Json, u64), HttpError> {
+    /// Returns the reply and the number of points served.
+    pub fn assign(&self, name: &str, body: &[u8]) -> Result<(Reply, u64), HttpError> {
         let entry = self.entry(name)?;
         let parsed = parse_points_body(body, entry.dims)?;
-        let n = parsed.rows.len();
-        let shard_count = entry.shards.len();
-        // Group row indices per shard, then take each shard lock once.
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); shard_count];
-        for (i, row) in parsed.rows.iter().enumerate() {
-            groups[point_shard(row, shard_count)].push(i);
-        }
-        let mut answers: Vec<Option<Assignment>> = vec![None; n];
-        for (shard_idx, group) in groups.iter().enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            let lock_start = std::time::Instant::now();
-            let mut shard = entry.shards[shard_idx].lock().unwrap();
-            cost.lock_us += micros(lock_start.elapsed());
-            let engine_start = std::time::Instant::now();
-            let shard = &mut *shard;
-            let rows: Vec<&[f64]> = group.iter().map(|&i| parsed.rows[i].as_slice()).collect();
-            let got = shard.engine.assign_many(&rows, 1, &mut shard.metrics);
-            for (&i, a) in group.iter().zip(got) {
-                answers[i] = Some(a);
-            }
-            cost.engine_us += micros(engine_start.elapsed());
-        }
-        let clusters: Vec<Json> = answers
-            .into_iter()
-            .map(|a| assignment_json(a.expect("every row was routed to a shard")))
-            .collect();
-        let response = if parsed.batch {
-            Json::obj([
-                ("model", Json::str(name)),
-                ("count", Json::UInt(n as u64)),
-                ("clusters", Json::Arr(clusters)),
-            ])
-        } else {
-            Json::obj([
-                ("model", Json::str(name)),
-                (
-                    "cluster",
-                    clusters.into_iter().next().expect("single-point body"),
-                ),
-            ])
-        };
-        Ok((response, n as u64))
+        let (answers, cost) = per_shard(entry, &parsed.rows, |shard, rows| {
+            shard.engine.assign_many(rows, 1, &mut shard.metrics)
+        });
+        let clusters = answers.into_iter().map(assignment_json).collect();
+        let body = answers_json(name, parsed.batch, ("cluster", "clusters"), clusters);
+        Ok((Reply { body, cost }, parsed.rows.len() as u64))
     }
 
     /// Ingests the body's points into `name`, hashing each point to its
     /// shard so density bookkeeping for a given point stays on one engine.
-    pub fn ingest(&self, name: &str, body: &[u8]) -> Result<(Json, u64), HttpError> {
-        self.ingest_traced(name, body, &mut RouteCost::default())
-    }
-
-    /// [`Router::ingest`], accumulating per-shard lock-wait and engine
-    /// time into `cost`.
-    pub fn ingest_traced(
-        &self,
-        name: &str,
-        body: &[u8],
-        cost: &mut RouteCost,
-    ) -> Result<(Json, u64), HttpError> {
+    pub fn ingest(&self, name: &str, body: &[u8]) -> Result<(Reply, u64), HttpError> {
         let entry = self.entry(name)?;
         let parsed = parse_points_body(body, entry.dims)?;
-        let n = parsed.rows.len();
-        let shard_count = entry.shards.len();
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); shard_count];
-        for (i, row) in parsed.rows.iter().enumerate() {
-            groups[point_shard(row, shard_count)].push(i);
-        }
-        let mut outcomes: Vec<Option<IngestOutcome>> = vec![None; n];
-        for (shard_idx, group) in groups.iter().enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            let lock_start = std::time::Instant::now();
-            let mut shard = entry.shards[shard_idx].lock().unwrap();
-            cost.lock_us += micros(lock_start.elapsed());
-            let engine_start = std::time::Instant::now();
-            let shard = &mut *shard;
-            for &i in group {
-                let start = std::time::Instant::now();
-                let out = shard.engine.ingest(&parsed.rows[i]);
-                shard.metrics.record_ingest(start.elapsed());
-                if !matches!(out, IngestOutcome::Duplicate) {
-                    shard.mutations += 1;
-                }
-                outcomes[i] = Some(out);
-            }
-            cost.engine_us += micros(engine_start.elapsed());
-        }
-        let slugs: Vec<Json> = outcomes
+        let (outcomes, cost) = per_shard(entry, &parsed.rows, |shard, rows| {
+            rows.iter()
+                .map(|row| {
+                    let start = Instant::now();
+                    let out = shard.engine.ingest(row);
+                    shard.metrics.record_ingest(start.elapsed());
+                    if !matches!(out, IngestOutcome::Duplicate) {
+                        shard.mutations += 1;
+                    }
+                    out
+                })
+                .collect()
+        });
+        let slugs = outcomes
             .into_iter()
-            .map(|o| Json::str(outcome_slug(o.expect("every row was routed to a shard"))))
+            .map(|o| Json::str(outcome_slug(o)))
             .collect();
-        let response = if parsed.batch {
-            Json::obj([
-                ("model", Json::str(name)),
-                ("count", Json::UInt(n as u64)),
-                ("outcomes", Json::Arr(slugs)),
-            ])
-        } else {
-            Json::obj([
-                ("model", Json::str(name)),
-                (
-                    "outcome",
-                    slugs.into_iter().next().expect("single-point body"),
-                ),
-            ])
-        };
-        Ok((response, n as u64))
+        let body = answers_json(name, parsed.batch, ("outcome", "outcomes"), slugs);
+        Ok((Reply { body, cost }, parsed.rows.len() as u64))
     }
 
     /// Removes the body's points from `name`, hashing each point to its
@@ -433,51 +420,23 @@ impl Router {
     /// lands on the engine tracking it). A single-point body naming an
     /// untracked point answers a typed 404; a batch body answers 200
     /// with per-point outcomes.
-    pub fn remove(&self, name: &str, body: &[u8]) -> Result<(Json, u64), HttpError> {
-        self.remove_traced(name, body, &mut RouteCost::default())
-    }
-
-    /// [`Router::remove`], accumulating per-shard lock-wait and engine
-    /// time into `cost`.
-    pub fn remove_traced(
-        &self,
-        name: &str,
-        body: &[u8],
-        cost: &mut RouteCost,
-    ) -> Result<(Json, u64), HttpError> {
+    pub fn remove(&self, name: &str, body: &[u8]) -> Result<(Reply, u64), HttpError> {
         let entry = self.entry(name)?;
         let parsed = parse_points_body(body, entry.dims)?;
-        let n = parsed.rows.len();
-        let shard_count = entry.shards.len();
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); shard_count];
-        for (i, row) in parsed.rows.iter().enumerate() {
-            groups[point_shard(row, shard_count)].push(i);
-        }
-        let mut outcomes: Vec<Option<RemoveOutcome>> = vec![None; n];
-        for (shard_idx, group) in groups.iter().enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            let lock_start = std::time::Instant::now();
-            let mut shard = entry.shards[shard_idx].lock().unwrap();
-            cost.lock_us += micros(lock_start.elapsed());
-            let engine_start = std::time::Instant::now();
-            let shard = &mut *shard;
-            for &i in group {
-                let start = std::time::Instant::now();
-                let out = shard.engine.remove(&parsed.rows[i]);
-                shard.metrics.record_remove(start.elapsed(), out);
-                if !matches!(out, RemoveOutcome::NotFound) {
-                    shard.mutations += 1;
-                }
-                outcomes[i] = Some(out);
-            }
-            cost.engine_us += micros(engine_start.elapsed());
-        }
-        let outcomes: Vec<RemoveOutcome> = outcomes
-            .into_iter()
-            .map(|o| o.expect("every row was routed to a shard"))
-            .collect();
+        let (outcomes, cost) = per_shard(entry, &parsed.rows, |shard, rows| {
+            rows.iter()
+                .map(|row| {
+                    let start = Instant::now();
+                    let out = shard.engine.remove(row);
+                    shard.metrics.record_remove(start.elapsed(), out);
+                    if !matches!(out, RemoveOutcome::NotFound) {
+                        shard.mutations += 1;
+                    }
+                    out
+                })
+                .collect()
+        });
+        let n = outcomes.len() as u64;
         if !parsed.batch {
             return match outcomes[0] {
                 RemoveOutcome::NotFound => Err(HttpError::UnknownPoint(format!(
@@ -489,13 +448,16 @@ impl Router {
                     demoted,
                     splits,
                 } => Ok((
-                    Json::obj([
-                        ("model", Json::str(name)),
-                        ("removed", Json::Bool(true)),
-                        ("was_core", Json::Bool(was_core)),
-                        ("demoted", Json::UInt(demoted as u64)),
-                        ("splits", Json::UInt(splits as u64)),
-                    ]),
+                    Reply {
+                        body: Json::obj([
+                            ("model", Json::str(name)),
+                            ("removed", Json::Bool(true)),
+                            ("was_core", Json::Bool(was_core)),
+                            ("demoted", Json::UInt(demoted as u64)),
+                            ("splits", Json::UInt(splits as u64)),
+                        ]),
+                        cost,
+                    },
                     1,
                 )),
             };
@@ -520,15 +482,13 @@ impl Router {
                 ]),
             })
             .collect();
-        Ok((
-            Json::obj([
-                ("model", Json::str(name)),
-                ("count", Json::UInt(n as u64)),
-                ("removed", Json::UInt(removed)),
-                ("outcomes", Json::Arr(items)),
-            ]),
-            n as u64,
-        ))
+        let body = Json::obj([
+            ("model", Json::str(name)),
+            ("count", Json::UInt(n)),
+            ("removed", Json::UInt(removed)),
+            ("outcomes", Json::Arr(items)),
+        ]);
+        Ok((Reply { body, cost }, n))
     }
 
     /// One model's health, folded across its shards: counts sum,
@@ -712,7 +672,7 @@ mod tests {
             .collect();
         let (resp, n) = router.assign("m", &body(&queries)).unwrap();
         assert_eq!(n, 40);
-        let clusters = match resp.get("clusters") {
+        let clusters = match resp.body.get("clusters") {
             Some(Json::Arr(items)) => items.clone(),
             other => panic!("bad response: {other:?}"),
         };
@@ -731,9 +691,9 @@ mod tests {
         router.add_model("m", "m.dbm", &artifact(), 2, None);
         let (resp, n) = router.assign("m", b"{\"point\":[2.0,0.5]}").unwrap();
         assert_eq!(n, 1);
-        assert_eq!(resp.get("cluster"), Some(&Json::UInt(0)));
+        assert_eq!(resp.body.get("cluster"), Some(&Json::UInt(0)));
         let (resp, _) = router.assign("m", b"{\"point\":[50.0,50.0]}").unwrap();
-        assert_eq!(resp.get("cluster"), Some(&Json::Null));
+        assert_eq!(resp.body.get("cluster"), Some(&Json::Null));
     }
 
     #[test]
@@ -779,7 +739,7 @@ mod tests {
             .ingest("m", b"{\"points\":[[2.0,0.4],[2.0,0.4],[70.0,70.0]]}")
             .unwrap();
         assert_eq!(n, 3);
-        let outcomes = match resp.get("outcomes") {
+        let outcomes = match resp.body.get("outcomes") {
             Some(Json::Arr(items)) => items.clone(),
             other => panic!("bad response: {other:?}"),
         };
@@ -804,8 +764,8 @@ mod tests {
             .remove("m", b"{\"points\":[[70.0,70.0],[2.0,0.0],[9.0,9.0]]}")
             .unwrap();
         assert_eq!(n, 3);
-        assert_eq!(resp.get("removed"), Some(&Json::UInt(2)));
-        let outcomes = match resp.get("outcomes") {
+        assert_eq!(resp.body.get("removed"), Some(&Json::UInt(2)));
+        let outcomes = match resp.body.get("outcomes") {
             Some(Json::Arr(items)) => items.clone(),
             other => panic!("bad response: {other:?}"),
         };
@@ -819,7 +779,7 @@ mod tests {
         assert_eq!(err.status(), 404);
         // Single-point known: flat response object, shard goes dirty.
         let (resp, _) = router.remove("m", b"{\"point\":[2.0,0.4]}").unwrap();
-        assert_eq!(resp.get("removed"), Some(&Json::Bool(true)));
+        assert_eq!(resp.body.get("removed"), Some(&Json::Bool(true)));
         let agg = router.aggregate_metrics();
         assert_eq!(
             agg.registry().counter_value("dbsvec_removals_total"),

@@ -178,8 +178,9 @@ impl StageHists {
 
 /// Live serving-tier state shared between workers and the `/metrics`,
 /// `/healthz`, and `/debug/requests` handlers, rendered as an extra
-/// exposition section beside the engine aggregate (names are disjoint,
-/// so the concatenation stays valid).
+/// exposition section beside the engine aggregate. The names are
+/// disjoint, so the concatenation stays valid; `parse_prometheus` rejects
+/// a family that either section repeats.
 struct HttpState {
     started: Instant,
     next_id: AtomicU64,
@@ -752,40 +753,19 @@ fn dispatch(
                 return Err(HttpError::NotFound(path.to_string()));
             }
             match (method, op) {
-                ("POST", "assign") => {
-                    let mut cost = RouteCost::default();
-                    let (resp, points) = router.assign_traced(name, &req.body, &mut cost)?;
-                    let (body, serialize_us) = serialized(|| resp.to_string());
+                ("POST", "assign") | ("POST", "ingest") | ("DELETE", "points") => {
+                    let (endpoint, (reply, points)) = match op {
+                        "assign" => ("assign", router.assign(name, &req.body)?),
+                        "ingest" => ("ingest", router.ingest(name, &req.body)?),
+                        _ => ("remove", router.remove(name, &req.body)?),
+                    };
+                    let (body, serialize_us) = serialized(|| reply.to_string());
                     Ok((
-                        "assign",
+                        endpoint,
                         "application/json",
                         body,
                         points,
-                        DispatchCost::from_route(cost, serialize_us),
-                    ))
-                }
-                ("POST", "ingest") => {
-                    let mut cost = RouteCost::default();
-                    let (resp, points) = router.ingest_traced(name, &req.body, &mut cost)?;
-                    let (body, serialize_us) = serialized(|| resp.to_string());
-                    Ok((
-                        "ingest",
-                        "application/json",
-                        body,
-                        points,
-                        DispatchCost::from_route(cost, serialize_us),
-                    ))
-                }
-                ("DELETE", "points") => {
-                    let mut cost = RouteCost::default();
-                    let (resp, points) = router.remove_traced(name, &req.body, &mut cost)?;
-                    let (body, serialize_us) = serialized(|| resp.to_string());
-                    Ok((
-                        "remove",
-                        "application/json",
-                        body,
-                        points,
-                        DispatchCost::from_route(cost, serialize_us),
+                        DispatchCost::from_route(reply.cost, serialize_us),
                     ))
                 }
                 ("GET", "health") => {

@@ -32,13 +32,13 @@
 //! | [`geometry`] | `dbsvec-geometry` | [`PointSet`], distance kernels, bounding boxes |
 //! | [`index`] | `dbsvec-index` | linear scan, kd-tree and R\*-tree range-query engines; k-distance profiles |
 //! | [`svdd`] | `dbsvec-svdd` | weighted SVDD trained by a from-scratch SMO solver; 2-D boundary extraction |
-//! | [`core`] | `dbsvec-core` | the DBSVEC algorithm, its ablation variants, out-of-sample prediction |
+//! | [`core`] | `dbsvec-core` | the DBSVEC algorithm and its ablation variants |
 //! | [`lsh`] | `dbsvec-lsh` | p-stable LSH substrate |
 //! | [`baselines`] | `dbsvec-baselines` | DBSCAN, ρ-approximate DBSCAN, DBSCAN-LSH, NQ-DBSCAN, k-means |
 //! | [`metrics`] | `dbsvec-metrics` | pair recall/precision/F1, Fowlkes–Mallows, ARI, NMI, silhouette, Davies–Bouldin |
 //! | [`datasets`] | `dbsvec-datasets` | deterministic synthetic generators, CSV I/O, SVG scatter plots |
 //! | [`obs`] | `dbsvec-obs` | run-trace observers: phase spans, typed events, JSONL sink, replay, profiling; telemetry registry with latency histograms and Prometheus/JSON exposition |
-//! | [`engine`] | `dbsvec-engine` | persistent model snapshots (`.dbm`) and the online ingest/assign serving engine |
+//! | [`engine`] | `dbsvec-engine` | persistent model snapshots (`.dbm`) and the online ingest/assign serving engine, which classifies points out of sample |
 //! | [`server`] | `dbsvec-server` | std-only HTTP/1.1 serving tier: sharded multi-model router, bounded thread pool, graceful shutdown |
 //!
 //! A command-line front end lives in the separate `dbsvec-cli` crate

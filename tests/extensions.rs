@@ -1,10 +1,10 @@
 //! Integration tests for the beyond-the-paper extensions: out-of-sample
-//! prediction and the SVDD boundary extraction — exercised together
-//! through the facade — plus DBSVEC answered by a second exact index
-//! engine.
+//! prediction through the serving engine and the SVDD boundary extraction
+//! — exercised together through the facade — plus DBSVEC answered by a
+//! second exact index engine.
 
-use dbsvec::core::ClusterModel;
 use dbsvec::datasets::gaussian_mixture;
+use dbsvec::engine::{Engine, ModelArtifact};
 use dbsvec::index::KdTree;
 use dbsvec::svdd::{
     decision_boundary_around_targets, kernel_width_center_radius, GaussianKernel, SvddProblem,
@@ -37,11 +37,17 @@ fn fitted_model_classifies_a_held_out_stream() {
     let eps = dbsvec::datasets::standins::suggest_eps(&train.points, 8, 3);
     let result = Dbsvec::new(DbsvecConfig::new(eps, 8)).fit(&train.points);
     assert_eq!(result.num_clusters(), 4);
-    let model = ClusterModel::new(&train.points, result.labels(), result.core_points(), eps)
-        .expect("valid fit produces a valid model");
+    let artifact =
+        ModelArtifact::from_fit(&train.points, result.labels(), result.core_points(), eps, 8)
+            .expect("valid fit produces a valid model");
+    let engine = Engine::new(&artifact);
 
     let test = gaussian_mixture(1200, 3, 4, 700.0, 1e5, 11); // same centers (same seed)
-    let predictions = model.predict_batch(&test.points);
+    let predictions: Vec<Option<u32>> = test
+        .points
+        .iter()
+        .map(|(_, q)| engine.classify(q).cluster())
+        .collect();
     // Ground-truth agreement: points of one generator cluster map to one
     // predicted cluster.
     let mut agree = 0;
