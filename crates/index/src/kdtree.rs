@@ -13,7 +13,11 @@
 //!   linearly — small leaves waste tree overhead, large leaves waste
 //!   distance computations; 16 is the conventional sweet spot,
 //! * nodes are plain structs in one array and their boxes sit in one flat
-//!   `Vec<f64>`, so a build allocates no memory per node.
+//!   `Vec<f64>`, so a build allocates no memory per node,
+//! * the build and every traversal are compiled for the point width: each
+//!   width from 1 to 8 gets its own kernels, with constant-length loops,
+//!   and wider points run the same kernels at the run-time width
+//!   (`width.rs`).
 //!
 //! Range queries prune subtrees whose bounding box is farther than ε from
 //! the query and *bulk-report* subtrees that lie entirely inside the query
@@ -38,7 +42,8 @@
 use crate::keyed::KeyedSort;
 use crate::leaf;
 use crate::traits::RangeIndex;
-use dbsvec_geometry::{bbox, PointId, PointSet};
+use crate::width::{row, width, with_width};
+use dbsvec_geometry::{bbox, squared_euclidean, PointId, PointSet};
 
 /// One tree node. Every node, inner ones included, owns the contiguous run
 /// `ids[start..end]` of the points under it.
@@ -76,7 +81,8 @@ impl TreeCore {
         };
         if n > 0 {
             // One key scratch serves every median selection of the build.
-            core.build_node(points, 0, n, &mut KeyedSort::default());
+            let sort = &mut KeyedSort::default();
+            with_width!(core.dims, D => core.build_node::<D>(points, 0, n, sort));
         }
         core
     }
@@ -84,13 +90,14 @@ impl TreeCore {
     /// Builds the subtree over the non-empty run `ids[start..end]` and
     /// returns its root: a leaf of at most [`KdTree::LEAF_SIZE`] points, or
     /// a split at the median of the box's widest dimension.
-    fn build_node(
+    fn build_node<const D: usize>(
         &mut self,
         points: &PointSet,
         start: usize,
         end: usize,
         sort: &mut KeyedSort,
     ) -> u32 {
+        let (flat, w) = (points.as_flat(), width::<D>(self.dims));
         let node = self.nodes.len() as u32;
         self.nodes.push(Node {
             start: start as u32,
@@ -98,12 +105,12 @@ impl TreeCore {
             children: None,
         });
         let at = self.boxes.len();
-        let first = points.point(self.ids[start]);
+        let first = row(flat, self.ids[start], w);
         self.boxes.extend_from_slice(first);
         self.boxes.extend_from_slice(first);
-        let (lo, hi) = self.boxes[at..].split_at_mut(self.dims);
+        let (lo, hi) = self.boxes[at..at + 2 * w].split_at_mut(w);
         for &id in &self.ids[start + 1..end] {
-            bbox::expand_to_point(lo, hi, points.point(id));
+            bbox::expand_to_point(lo, hi, row(flat, id, w));
         }
         let len = end - start;
         if len <= KdTree::LEAF_SIZE {
@@ -111,48 +118,75 @@ impl TreeCore {
         }
         let dim = widest_dimension(lo, hi);
         let mid = len / 2;
-        sort.select_nth(&mut self.ids[start..end], mid, |id| points.point(id)[dim]);
-        let left = self.build_node(points, start, start + mid, sort);
-        let right = self.build_node(points, start + mid, end, sort);
+        sort.select_nth(&mut self.ids[start..end], mid, |id| {
+            flat[id as usize * w + dim]
+        });
+        let left = self.build_node::<D>(points, start, start + mid, sort);
+        let right = self.build_node::<D>(points, start + mid, end, sort);
         self.nodes[node as usize].children = Some((left, right));
         node
     }
 
-    /// Node `node`'s box as (lower corner, upper corner).
+    /// Node `node`'s box as (lower corner, upper corner), at the kernel
+    /// width `D`.
     #[inline]
+    fn box_at<const D: usize>(&self, node: u32) -> (&[f64], &[f64]) {
+        let w = width::<D>(self.dims);
+        self.boxes[2 * w * node as usize..][..2 * w].split_at(w)
+    }
+
+    /// Node `node`'s box at the run-time width.
+    #[cfg(test)]
     fn corners(&self, node: u32) -> (&[f64], &[f64]) {
-        let d = self.dims;
-        self.boxes[2 * d * node as usize..][..2 * d].split_at(d)
+        self.box_at::<0>(node)
     }
 
     /// Squared distance from `query` to the nearest point of `node`'s box.
     #[inline]
-    fn min_sq(&self, node: u32, query: &[f64]) -> f64 {
-        let (lo, hi) = self.corners(node);
+    fn min_sq<const D: usize>(&self, node: u32, query: &[f64]) -> f64 {
+        let (lo, hi) = self.box_at::<D>(node);
         bbox::min_squared_distance(lo, hi, query)
     }
 
     /// Squared distance from `query` to the farthest point of `node`'s box.
     #[inline]
-    fn max_sq(&self, node: u32, query: &[f64]) -> f64 {
-        let (lo, hi) = self.corners(node);
+    fn max_sq<const D: usize>(&self, node: u32, query: &[f64]) -> f64 {
+        let (lo, hi) = self.box_at::<D>(node);
         bbox::max_squared_distance(lo, hi, query)
     }
 
+    /// The one width check every query passes first. The kernels slice
+    /// `query` to the tree's width, so without it a longer query would be
+    /// cut short silently and a shorter one would fail inside a kernel.
+    fn check_width(&self, query: &[f64]) {
+        assert!(
+            query.len() == self.dims,
+            "query has {} coordinates but the tree is {}-dimensional",
+            query.len(),
+            self.dims
+        );
+    }
+
     fn range(&self, points: &PointSet, query: &[f64], eps: f64, out: &mut Vec<PointId>) {
+        self.check_width(query);
         let eps_sq = eps * eps;
-        if !self.nodes.is_empty() && self.min_sq(0, query) <= eps_sq {
-            self.range_recursive(points, 0, query, eps_sq, out);
-        }
+        with_width!(self.dims, D => {
+            if !self.nodes.is_empty() && self.min_sq::<D>(0, query) <= eps_sq {
+                self.range_recursive::<D>(points, 0, query, eps_sq, out);
+            }
+        })
     }
 
     fn count_range(&self, points: &PointSet, query: &[f64], eps: f64) -> usize {
+        self.check_width(query);
         let eps_sq = eps * eps;
-        if !self.nodes.is_empty() && self.min_sq(0, query) <= eps_sq {
-            self.count_recursive(points, 0, query, eps_sq)
-        } else {
-            0
-        }
+        with_width!(self.dims, D => {
+            if !self.nodes.is_empty() && self.min_sq::<D>(0, query) <= eps_sq {
+                self.count_recursive::<D>(points, 0, query, eps_sq)
+            } else {
+                0
+            }
+        })
     }
 
     fn nearest_within(
@@ -162,17 +196,20 @@ impl TreeCore {
         eps: f64,
         keep: &impl Fn(PointId) -> bool,
     ) -> Option<(f64, PointId)> {
+        self.check_width(query);
         let mut best = Best {
             bound: eps * eps,
             found: None,
         };
-        if !self.nodes.is_empty() && self.min_sq(0, query) <= best.bound {
-            self.nearest_recursive(points, 0, query, keep, &mut best);
-        }
+        with_width!(self.dims, D => {
+            if !self.nodes.is_empty() && self.min_sq::<D>(0, query) <= best.bound {
+                self.nearest_recursive::<D>(points, 0, query, keep, &mut best);
+            }
+        });
         best.found
     }
 
-    fn nearest_recursive(
+    fn nearest_recursive<const D: usize>(
         &self,
         points: &PointSet,
         node: u32,
@@ -180,6 +217,8 @@ impl TreeCore {
         keep: &impl Fn(PointId) -> bool,
         best: &mut Best,
     ) {
+        let (flat, w) = (points.as_flat(), width::<D>(self.dims));
+        let query = &query[..w];
         let Node {
             start,
             end,
@@ -189,13 +228,13 @@ impl TreeCore {
             None => {
                 for &id in &self.ids[start as usize..end as usize] {
                     if keep(id) {
-                        best.offer(points.squared_distance_to(id, query), id);
+                        best.offer(squared_euclidean(row(flat, id, w), query), id);
                     }
                 }
             }
             Some((left, right)) => {
-                let dl = self.min_sq(left, query);
-                let dr = self.min_sq(right, query);
+                let dl = self.min_sq::<D>(left, query);
+                let dr = self.min_sq::<D>(right, query);
                 let ((near, d_near), (far, d_far)) = if dr < dl {
                     ((right, dr), (left, dl))
                 } else {
@@ -204,16 +243,16 @@ impl TreeCore {
                 // A box exactly at the bound may still hold a tie with a
                 // smaller id, so only strictly farther boxes are pruned.
                 if d_near <= best.bound {
-                    self.nearest_recursive(points, near, query, keep, best);
+                    self.nearest_recursive::<D>(points, near, query, keep, best);
                 }
                 if d_far <= best.bound {
-                    self.nearest_recursive(points, far, query, keep, best);
+                    self.nearest_recursive::<D>(points, far, query, keep, best);
                 }
             }
         }
     }
 
-    fn range_recursive(
+    fn range_recursive<const D: usize>(
         &self,
         points: &PointSet,
         node: u32,
@@ -221,48 +260,57 @@ impl TreeCore {
         eps_sq: f64,
         out: &mut Vec<PointId>,
     ) {
+        let query = &query[..width::<D>(self.dims)];
         let Node {
             start,
             end,
             children,
         } = self.nodes[node as usize];
         let ids = &self.ids[start as usize..end as usize];
-        if self.max_sq(node, query) <= eps_sq {
+        if self.max_sq::<D>(node, query) <= eps_sq {
             // The box lies inside the ball: report the node's run whole.
             out.extend_from_slice(ids);
             return;
         }
         match children {
-            None => leaf::extend_within(points, ids, query, eps_sq, out),
+            None => leaf::extend_within::<D>(points, ids, query, eps_sq, out),
             Some((left, right)) => {
                 for child in [left, right] {
-                    if self.min_sq(child, query) <= eps_sq {
-                        self.range_recursive(points, child, query, eps_sq, out);
+                    if self.min_sq::<D>(child, query) <= eps_sq {
+                        self.range_recursive::<D>(points, child, query, eps_sq, out);
                     }
                 }
             }
         }
     }
 
-    fn count_recursive(&self, points: &PointSet, node: u32, query: &[f64], eps_sq: f64) -> usize {
+    fn count_recursive<const D: usize>(
+        &self,
+        points: &PointSet,
+        node: u32,
+        query: &[f64],
+        eps_sq: f64,
+    ) -> usize {
+        let (flat, w) = (points.as_flat(), width::<D>(self.dims));
+        let query = &query[..w];
         let Node {
             start,
             end,
             children,
         } = self.nodes[node as usize];
         let ids = &self.ids[start as usize..end as usize];
-        if self.max_sq(node, query) <= eps_sq {
+        if self.max_sq::<D>(node, query) <= eps_sq {
             return ids.len();
         }
         match children {
             None => ids
                 .iter()
-                .filter(|&&id| points.squared_distance_to(id, query) <= eps_sq)
+                .filter(|&&id| squared_euclidean(row(flat, id, w), query) <= eps_sq)
                 .count(),
             Some((left, right)) => [left, right]
                 .into_iter()
-                .filter(|&child| self.min_sq(child, query) <= eps_sq)
-                .map(|child| self.count_recursive(points, child, query, eps_sq))
+                .filter(|&child| self.min_sq::<D>(child, query) <= eps_sq)
+                .map(|child| self.count_recursive::<D>(points, child, query, eps_sq))
                 .sum(),
         }
     }
@@ -301,6 +349,13 @@ impl Best {
 }
 
 /// A static kd-tree over a borrowed [`PointSet`].
+///
+/// # Panics
+///
+/// Every query ([`RangeIndex::range`], [`RangeIndex::count_range`],
+/// [`KdTree::nearest_within`]) panics unless it has exactly as many
+/// coordinates as the indexed points, whatever their width and even when
+/// the tree is empty. The same holds for [`OwnedKdTree`].
 pub struct KdTree<'a> {
     points: &'a PointSet,
     core: TreeCore,
@@ -336,6 +391,10 @@ impl<'a> KdTree<'a> {
     /// of (squared distance, id) over the accepted points in the ball (see
     /// [`nearer`]), whatever the tree's shape. Pass `|_| true` to accept
     /// every point.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `query` is not as wide as the indexed points.
     pub fn nearest_within(
         &self,
         query: &[f64],
@@ -682,6 +741,55 @@ mod tests {
                     let case = format!("{name} d={dims} n={n}");
                     assert!(tree.core.ids == want_ids, "{case}: leaf id order");
                     assert!(post_order(&tree.core) == want_nodes, "{case}: nodes");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn build_reproduces_the_recursive_build_at_the_other_widths() {
+        // The widths `build_reproduces_the_recursive_build` leaves out:
+        // the other fixed-width kernels and the run-time one.
+        for dims in [4, 5, 6, 7, 9, 12] {
+            for n in [17, 5_000] {
+                let points = random_points(n, dims, n as u64 + dims as u64);
+                let (want_nodes, want_ids) = reference_build(&points);
+                let tree = KdTree::build(&points);
+                assert!(tree.core.ids == want_ids, "d={dims} n={n}: leaf id order");
+                assert!(
+                    post_order(&tree.core) == want_nodes,
+                    "d={dims} n={n}: nodes"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_query_of_another_width_panics_at_every_width() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        for dims in (1..=9).chain([12]) {
+            let points = random_points(40, dims, dims as u64);
+            let empty = PointSet::new(dims);
+            let trees = [KdTree::build(&points), KdTree::build(&empty)];
+            let owned = OwnedKdTree::build(points.clone());
+            for len in [dims - 1, dims + 1] {
+                let q = vec![50.0; len];
+                let calls: [&dyn Fn() -> usize; 7] = [
+                    &|| trees[0].range_vec(&q, 10.0).len(),
+                    &|| trees[0].count_range(&q, 10.0),
+                    &|| trees[0].nearest_within(&q, 10.0, |_| true).is_some() as usize,
+                    &|| trees[1].range_vec(&q, 10.0).len(),
+                    &|| owned.range_vec(&q, 10.0).len(),
+                    &|| owned.count_range(&q, 10.0),
+                    &|| owned.nearest_within(&q, 10.0, |_| true).is_some() as usize,
+                ];
+                for (k, call) in calls.into_iter().enumerate() {
+                    let panic = catch_unwind(AssertUnwindSafe(call))
+                        .expect_err("a query of another width must panic");
+                    let message = panic.downcast_ref::<String>().expect("a formatted message");
+                    let want =
+                        format!("query has {len} coordinates but the tree is {dims}-dimensional");
+                    assert_eq!(message, &want, "call {k}");
                 }
             }
         }

@@ -44,6 +44,7 @@ pub mod linear;
 pub mod rstar;
 pub mod stats;
 pub mod traits;
+mod width;
 
 pub use kdist::{k_distance_profile, k_distance_profile_for_ids, knee_epsilon};
 pub use kdtree::{nearer, KdTree, OwnedKdTree};

@@ -71,7 +71,7 @@ impl<'a> RStarTree<'a> {
             return;
         }
         match &n.entries {
-            Entries::Leaf(ids) => leaf::extend_within(self.points, ids, query, eps_sq, out),
+            Entries::Leaf(ids) => leaf::extend_within::<0>(self.points, ids, query, eps_sq, out),
             Entries::Inner(children) => {
                 for &child in children {
                     if self.nodes[child as usize].bbox.min_squared_distance(query) <= eps_sq {

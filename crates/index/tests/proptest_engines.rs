@@ -8,8 +8,16 @@ use dbsvec_geometry::PointId;
 use dbsvec_geometry::PointSet;
 use dbsvec_index::{CountingIndex, KdTree, LinearScan, OwnedKdTree, RStarTree, RangeIndex};
 
+/// Every width the kd-tree compiles its own kernels for, and one above
+/// them that runs at the run-time width.
+const WIDTHS: [usize; 9] = [1, 2, 3, 4, 5, 6, 7, 8, 12];
+
 fn point_set(rng: &mut SplitMix64, max_n: usize, max_d: usize) -> PointSet {
     let d = 1 + rng.next_below(max_d as u64) as usize;
+    point_set_of_width(rng, max_n, d)
+}
+
+fn point_set_of_width(rng: &mut SplitMix64, max_n: usize, d: usize) -> PointSet {
     let n = 1 + rng.next_below(max_n as u64) as usize;
     let rows: Vec<Vec<f64>> = (0..n)
         .map(|_| {
@@ -24,8 +32,8 @@ fn point_set(rng: &mut SplitMix64, max_n: usize, max_d: usize) -> PointSet {
 #[test]
 fn count_equals_materialized_for_every_engine() {
     let mut rng = SplitMix64::new(0x1DEA);
-    for _ in 0..48 {
-        let ps = point_set(&mut rng, 100, 3);
+    for d in WIDTHS.repeat(6) {
+        let ps = point_set_of_width(&mut rng, 100, d);
         let eps = rng.next_f64_range(0.0, 500.0);
         let q = ps.point(rng.next_below(ps.len() as u64) as u32).to_vec();
         let engines: Vec<Box<dyn RangeIndex + '_>> = vec![
@@ -111,7 +119,7 @@ fn brute_nearest(ps: &PointSet, q: &[f64], eps: f64, keep: &[bool]) -> Option<(f
 fn nearest_within_matches_brute_force_on_both_wrappers() {
     let mut rng = SplitMix64::new(0x6E4E);
     for n in [0usize, 1, 500] {
-        for d in [1usize, 8] {
+        for d in WIDTHS {
             // Small integer coordinates, then a block of exact copies:
             // duplicated points and exact distance ties are the common case.
             let mut ps = PointSet::new(d);
@@ -201,7 +209,7 @@ fn tree_ranges_report_their_leaf_order_exactly() {
     ];
     let mut rng = SplitMix64::new(0x0DE2);
     for (name, coordinate, radii) in inputs {
-        for d in [1usize, 2, 3, 8] {
+        for d in WIDTHS {
             for n in [1usize, 17, 300, 3_000] {
                 let flat: Vec<f64> = if name == "duplicates" {
                     let rows: Vec<f64> = (0..8 * d).map(|_| coordinate(&mut rng)).collect();

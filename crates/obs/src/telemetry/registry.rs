@@ -58,11 +58,6 @@ impl HistogramMetric {
         &self.help
     }
 
-    /// Recorded ticks per exposition unit.
-    pub fn ticks_per_unit(&self) -> f64 {
-        self.ticks_per_unit
-    }
-
     /// A recorded tick value in exposition units.
     pub fn scaled(&self, ticks: f64) -> f64 {
         ticks / self.ticks_per_unit
@@ -251,7 +246,6 @@ mod tests {
         assert_eq!(reg.gauge_value("staleness_ratio"), Some(0.25));
         let hm = reg.histogram_at(h);
         assert_eq!(hm.histogram().count(), 2);
-        assert_eq!(hm.ticks_per_unit(), 1e9);
         assert_eq!(hm.scaled(2_000.0), 0.000002);
         assert_eq!(reg.len(), 3);
         assert_eq!(reg.counter_value("nope"), None);

@@ -31,6 +31,6 @@ pub mod trace;
 pub use http::{
     read_request, write_response, HttpError, Request, DEFAULT_MAX_BODY_BYTES, MAX_HEADER_BYTES,
 };
-pub use router::{point_shard, ModelEntry, Reply, RouteCost, Router};
+pub use router::{point_shard, ModelEntry, Reply, RouteCost, RouteError, Router};
 pub use server::{Server, ServerConfig, ServerReport, ShutdownFlag};
 pub use trace::{FlightRecorder, RequestTrace};

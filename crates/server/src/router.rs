@@ -63,6 +63,26 @@ impl fmt::Display for Reply {
     }
 }
 
+/// A routed assign, ingest or remove that failed: the error it answers
+/// with, and the lock wait and engine time it spent first if a shard's
+/// engine answered. Only a single-point remove of an untracked point fails
+/// after its engine answered; every other failure (an unknown model, a bad
+/// body) comes before any lock, with `cost` `None`.
+#[derive(Debug)]
+pub struct RouteError {
+    /// The error the request answers with.
+    pub error: HttpError,
+    /// Lock wait and engine time spent before the failure, if any engine
+    /// answered.
+    pub cost: Option<RouteCost>,
+}
+
+impl From<HttpError> for RouteError {
+    fn from(error: HttpError) -> Self {
+        Self { error, cost: None }
+    }
+}
+
 fn micros(d: std::time::Duration) -> u64 {
     d.as_micros() as u64
 }
@@ -378,7 +398,7 @@ impl Router {
     /// Classifies the body's points against `name`, hashing each point to
     /// its shard and batching per shard through [`Engine::assign_many`].
     /// Returns the reply and the number of points served.
-    pub fn assign(&self, name: &str, body: &[u8]) -> Result<(Reply, u64), HttpError> {
+    pub fn assign(&self, name: &str, body: &[u8]) -> Result<(Reply, u64), RouteError> {
         let entry = self.entry(name)?;
         let parsed = parse_points_body(body, entry.dims)?;
         let (answers, cost) = per_shard(entry, &parsed.rows, |shard, rows| {
@@ -391,7 +411,7 @@ impl Router {
 
     /// Ingests the body's points into `name`, hashing each point to its
     /// shard so density bookkeeping for a given point stays on one engine.
-    pub fn ingest(&self, name: &str, body: &[u8]) -> Result<(Reply, u64), HttpError> {
+    pub fn ingest(&self, name: &str, body: &[u8]) -> Result<(Reply, u64), RouteError> {
         let entry = self.entry(name)?;
         let parsed = parse_points_body(body, entry.dims)?;
         let (outcomes, cost) = per_shard(entry, &parsed.rows, |shard, rows| {
@@ -420,7 +440,7 @@ impl Router {
     /// lands on the engine tracking it). A single-point body naming an
     /// untracked point answers a typed 404; a batch body answers 200
     /// with per-point outcomes.
-    pub fn remove(&self, name: &str, body: &[u8]) -> Result<(Reply, u64), HttpError> {
+    pub fn remove(&self, name: &str, body: &[u8]) -> Result<(Reply, u64), RouteError> {
         let entry = self.entry(name)?;
         let parsed = parse_points_body(body, entry.dims)?;
         let (outcomes, cost) = per_shard(entry, &parsed.rows, |shard, rows| {
@@ -439,10 +459,10 @@ impl Router {
         let n = outcomes.len() as u64;
         if !parsed.batch {
             return match outcomes[0] {
-                RemoveOutcome::NotFound => Err(HttpError::UnknownPoint(format!(
-                    "{:?}",
-                    parsed.rows[0].as_slice()
-                ))),
+                RemoveOutcome::NotFound => Err(RouteError {
+                    error: HttpError::UnknownPoint(format!("{:?}", parsed.rows[0].as_slice())),
+                    cost: Some(cost),
+                }),
                 RemoveOutcome::Removed {
                     was_core,
                     demoted,
@@ -700,7 +720,10 @@ mod tests {
     fn unknown_model_is_not_found() {
         let mut router = Router::new();
         router.add_model("m", "m.dbm", &artifact(), 1, None);
-        let err = router.assign("ghost", b"{\"point\":[0,0]}").unwrap_err();
+        let err = router
+            .assign("ghost", b"{\"point\":[0,0]}")
+            .unwrap_err()
+            .error;
         assert!(matches!(err, HttpError::NotFound(_)));
         assert_eq!(err.status(), 404);
     }
@@ -710,23 +733,26 @@ mod tests {
         let mut router = Router::new();
         router.add_model("m", "m.dbm", &artifact(), 1, None);
         assert!(matches!(
-            router.assign("m", b"not json").unwrap_err(),
+            router.assign("m", b"not json").unwrap_err().error,
             HttpError::BadJson(_)
         ));
         assert!(matches!(
-            router.assign("m", b"{\"nope\":1}").unwrap_err(),
+            router.assign("m", b"{\"nope\":1}").unwrap_err().error,
             HttpError::BadBody(_)
         ));
         assert!(matches!(
-            router.assign("m", b"{\"point\":[1.0]}").unwrap_err(),
+            router.assign("m", b"{\"point\":[1.0]}").unwrap_err().error,
             HttpError::BadBody(_) // dims mismatch
         ));
         assert!(matches!(
-            router.assign("m", b"{\"points\":[]}").unwrap_err(),
+            router.assign("m", b"{\"points\":[]}").unwrap_err().error,
             HttpError::BadBody(_)
         ));
         assert!(matches!(
-            router.assign("m", b"{\"point\":[1.0,\"x\"]}").unwrap_err(),
+            router
+                .assign("m", b"{\"point\":[1.0,\"x\"]}")
+                .unwrap_err()
+                .error,
             HttpError::BadBody(_)
         ));
     }
@@ -753,6 +779,32 @@ mod tests {
     }
 
     #[test]
+    fn a_failed_remove_reports_the_lock_wait_it_spent() {
+        let mut router = Router::new();
+        router.add_model("m", "m.dbm", &artifact(), 1, None);
+        let hold = std::time::Duration::from_millis(200);
+        let (locked, wait_for_lock) = std::sync::mpsc::channel();
+        let err = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let _shard = router.models()[0].shards[0].lock().unwrap();
+                locked.send(()).unwrap();
+                std::thread::sleep(hold);
+            });
+            wait_for_lock.recv().unwrap();
+            router.remove("m", b"{\"point\":[9.0,9.0]}").unwrap_err()
+        });
+        assert!(matches!(err.error, HttpError::UnknownPoint(_)));
+        // The remove waited out most of the hold before its engine
+        // answered that the point is untracked.
+        let cost = err.cost.expect("the engine answered");
+        assert!(cost.lock_us >= 50_000, "{cost:?}");
+        // A remove that fails before any lock reports no cost.
+        let err = router.remove("m", b"not json").unwrap_err();
+        assert!(matches!(err.error, HttpError::BadJson(_)));
+        assert!(err.cost.is_none());
+    }
+
+    #[test]
     fn remove_routes_to_the_ingesting_shard_and_types_unknowns() {
         let mut router = Router::new();
         router.add_model("m", "m.dbm", &artifact(), 3, None);
@@ -774,7 +826,10 @@ mod tests {
         assert_eq!(outcomes[1].get("was_core"), Some(&Json::Bool(true)));
         assert_eq!(outcomes[2].get("removed"), Some(&Json::Bool(false)));
         // Single-point unknown: typed 404, not a 200 envelope.
-        let err = router.remove("m", b"{\"point\":[9.0,9.0]}").unwrap_err();
+        let err = router
+            .remove("m", b"{\"point\":[9.0,9.0]}")
+            .unwrap_err()
+            .error;
         assert!(matches!(err, HttpError::UnknownPoint(_)));
         assert_eq!(err.status(), 404);
         // Single-point known: flat response object, shard goes dirty.

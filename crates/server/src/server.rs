@@ -34,7 +34,7 @@ use dbsvec_obs::telemetry::render_prometheus;
 use dbsvec_obs::{Event, Histogram, HttpStages, Observer, Phase, Registry};
 
 use crate::http::{read_request, write_response, HttpError, Request, DEFAULT_MAX_BODY_BYTES};
-use crate::router::{RouteCost, Router};
+use crate::router::{RouteCost, RouteError, Router};
 use crate::trace::{FlightRecorder, RequestTrace};
 
 /// Knobs for [`Server::bind`].
@@ -126,7 +126,9 @@ impl ShutdownFlag {
     }
 }
 
-/// Endpoint slugs, one duration histogram each on `/metrics`.
+/// Endpoint slugs, one duration histogram each on `/metrics`. A remove
+/// that fails after its shard's engine answered stays under `remove`;
+/// `error` holds every other failed request.
 const ENDPOINTS: [&str; 8] = [
     "assign",
     "ingest",
@@ -565,13 +567,17 @@ fn handle_connection(
             Ok((endpoint, content_type, body, points, cost)) => {
                 (endpoint, 200, content_type, body, points, cost)
             }
-            Err(err) => (
-                "error",
-                err.status(),
+            Err(Failed {
+                endpoint,
+                error,
+                cost,
+            }) => (
+                endpoint,
+                error.status(),
                 "application/json",
-                error_body(&err),
+                error_body(&error),
                 0,
-                DispatchCost::default(),
+                cost,
             ),
         };
         let wstart = Instant::now();
@@ -658,6 +664,42 @@ impl DispatchCost {
     }
 }
 
+/// A dispatch that failed: the error it answers with, the endpoint it is
+/// filed under, and what it cost before failing.
+struct Failed {
+    endpoint: &'static str,
+    error: HttpError,
+    cost: DispatchCost,
+}
+
+/// A failure before any operation took the request: filed under `error`,
+/// at zero cost.
+impl From<HttpError> for Failed {
+    fn from(error: HttpError) -> Self {
+        Self {
+            endpoint: "error",
+            error,
+            cost: DispatchCost::default(),
+        }
+    }
+}
+
+impl Failed {
+    /// A failed assign, ingest or remove: filed under `endpoint` with its
+    /// lock and engine time if a shard's engine answered, under `error`
+    /// otherwise.
+    fn routed(endpoint: &'static str, failure: RouteError) -> Self {
+        match failure.cost {
+            Some(cost) => Self {
+                endpoint,
+                error: failure.error,
+                cost: DispatchCost::from_route(cost, 0),
+            },
+            None => failure.error.into(),
+        }
+    }
+}
+
 /// Times one body-rendering closure, returning the bytes and the
 /// microseconds it took.
 fn serialized(render: impl FnOnce() -> String) -> (Vec<u8>, u64) {
@@ -667,12 +709,14 @@ fn serialized(render: impl FnOnce() -> String) -> (Vec<u8>, u64) {
 }
 
 /// Routes one parsed request. Returns `(endpoint slug, content type,
-/// response body, points served, stage cost)`.
+/// response body, points served, stage cost)`. A remove that fails after
+/// its shard's engine answered keeps its endpoint and the lock and engine
+/// time it spent.
 fn dispatch(
     router: &Router,
     state: &HttpState,
     req: &Request,
-) -> Result<(&'static str, &'static str, Vec<u8>, u64, DispatchCost), HttpError> {
+) -> Result<(&'static str, &'static str, Vec<u8>, u64, DispatchCost), Failed> {
     use dbsvec_obs::Json;
     let path = req.path.split('?').next().unwrap_or(&req.path);
     match (req.method.as_str(), path) {
@@ -750,15 +794,17 @@ fn dispatch(
                 .split_once('/')
                 .ok_or_else(|| HttpError::NotFound(path.to_string()))?;
             if name.is_empty() {
-                return Err(HttpError::NotFound(path.to_string()));
+                return Err(HttpError::NotFound(path.to_string()).into());
             }
             match (method, op) {
                 ("POST", "assign") | ("POST", "ingest") | ("DELETE", "points") => {
-                    let (endpoint, (reply, points)) = match op {
-                        "assign" => ("assign", router.assign(name, &req.body)?),
-                        "ingest" => ("ingest", router.ingest(name, &req.body)?),
-                        _ => ("remove", router.remove(name, &req.body)?),
+                    let (endpoint, routed) = match op {
+                        "assign" => ("assign", router.assign(name, &req.body)),
+                        "ingest" => ("ingest", router.ingest(name, &req.body)),
+                        _ => ("remove", router.remove(name, &req.body)),
                     };
+                    let (reply, points) =
+                        routed.map_err(|failure| Failed::routed(endpoint, failure))?;
                     let (body, serialize_us) = serialized(|| reply.to_string());
                     Ok((
                         endpoint,
@@ -786,16 +832,18 @@ fn dispatch(
                     Err(HttpError::MethodNotAllowed {
                         method: method.to_string(),
                         path: path.to_string(),
-                    })
+                    }
+                    .into())
                 }
-                _ => Err(HttpError::NotFound(path.to_string())),
+                _ => Err(HttpError::NotFound(path.to_string()).into()),
             }
         }
         (_, "/healthz" | "/metrics" | "/debug/requests") => Err(HttpError::MethodNotAllowed {
             method: req.method.clone(),
             path: path.to_string(),
-        }),
-        _ => Err(HttpError::NotFound(path.to_string())),
+        }
+        .into()),
+        _ => Err(HttpError::NotFound(path.to_string()).into()),
     }
 }
 

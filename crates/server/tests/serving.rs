@@ -425,6 +425,69 @@ fn extract_u64(line: &str, key: &str) -> u64 {
 }
 
 #[test]
+fn a_failed_remove_is_traced_under_its_own_endpoint() {
+    let h = Harness::start(1, 2, None);
+    let (status, body) = request(
+        h.addr,
+        "DELETE",
+        "/v1/models/m/points",
+        "{\"point\":[9.0,9.0]}",
+    );
+    assert_eq!(status, 404, "{body}");
+    let (status, body) = request(h.addr, "GET", "/debug/requests", "");
+    assert_eq!(status, 200);
+    let trace = body
+        .split("{\"request_id\"")
+        .find(|chunk| chunk.contains("\"status\":404"))
+        .unwrap_or_else(|| panic!("the 404 is retained: {body}"));
+    assert!(trace.contains("\"endpoint\":\"remove\""), "{trace}");
+    assert!(trace.contains("\"error\":true"), "{trace}");
+    // Its latency lands in the remove histogram, and it still counts as
+    // an error.
+    let (_, text) = request(h.addr, "GET", "/metrics", "");
+    assert!(
+        text.contains("dbsvec_http_request_duration_remove_seconds_count 1\n"),
+        "{text}"
+    );
+    assert!(text.contains("dbsvec_http_errors_total 1\n"), "{text}");
+    assert_eq!(h.stop().errors, 1);
+}
+
+#[test]
+fn a_rejected_body_is_traced_under_error() {
+    // An assign or remove whose body fails to parse never reaches an
+    // engine, so neither lands in its operation's histogram.
+    let h = Harness::start(1, 2, None);
+    for (method, path) in [
+        ("POST", "/v1/models/m/assign"),
+        ("DELETE", "/v1/models/m/points"),
+    ] {
+        let (status, body) = request(h.addr, method, path, "{\"point\":[1.0]}");
+        assert_eq!(status, 400, "{method} {path}: {body}");
+    }
+    let (status, body) = request(h.addr, "GET", "/debug/requests", "");
+    assert_eq!(status, 200);
+    let rejected: Vec<&str> = body
+        .split("{\"request_id\"")
+        .filter(|chunk| chunk.contains("\"status\":400"))
+        .collect();
+    assert_eq!(rejected.len(), 2, "{body}");
+    for trace in rejected {
+        assert!(trace.contains("\"endpoint\":\"error\""), "{trace}");
+    }
+    let (_, text) = request(h.addr, "GET", "/metrics", "");
+    for endpoint in ["assign", "remove"] {
+        let count = format!("dbsvec_http_request_duration_{endpoint}_seconds_count 0\n");
+        assert!(text.contains(&count), "{text}");
+    }
+    assert!(
+        text.contains("dbsvec_http_request_duration_error_seconds_count 2\n"),
+        "{text}"
+    );
+    assert_eq!(h.stop().errors, 2);
+}
+
+#[test]
 fn flight_recorder_retains_slow_and_error_traces_after_ring_wrap() {
     let h = Harness::start_cfg(
         1,
