@@ -69,9 +69,8 @@ pub struct BenchArgs {
     /// Master RNG seed.
     pub seed: u64,
     /// Directory for the machine-readable `BENCH_<experiment>.json`
-    /// report. Defaults to the repository root so every bench run extends
-    /// the `BENCH_*` trajectory; `--json DIR` overrides the destination.
-    /// `None` (not reachable from the CLI) prints tables only.
+    /// report, from `--json DIR`. Without the flag a run prints its tables
+    /// and writes no file, so it never replaces a committed report.
     pub json_dir: Option<String>,
     /// Free arguments (subcommands like `cardinality`).
     pub free: Vec<String>,
@@ -83,21 +82,9 @@ impl Default for BenchArgs {
             scale: 0.05,
             budget_secs: 120.0,
             seed: 20190401,
-            json_dir: Some(default_json_dir()),
+            json_dir: None,
             free: Vec::new(),
         }
-    }
-}
-
-/// The default `BENCH_*.json` destination: the repository root (resolved
-/// relative to this crate at compile time), falling back to the current
-/// directory when the build tree no longer exists at run time.
-fn default_json_dir() -> String {
-    let repo_root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-    if Path::new(repo_root).is_dir() {
-        repo_root.to_string()
-    } else {
-        ".".to_string()
     }
 }
 
@@ -341,10 +328,8 @@ mod tests {
         assert_eq!(args.scale, 0.05);
         assert_eq!(args.seed, 20190401);
         assert!(args.free.is_empty());
-        // Reports land in the repo root by default, so every bench run
-        // extends the BENCH_* trajectory without remembering --json.
-        let dir = args.json_dir.expect("json output is on by default");
-        assert!(Path::new(&dir).is_dir(), "{dir} should exist");
+        // No report is written unless --json names a directory.
+        assert_eq!(args.json_dir, None);
     }
 
     #[test]
@@ -383,8 +368,8 @@ mod tests {
     fn parses_json_flag() {
         let args = parse(&["--json", "out"]);
         assert_eq!(args.json_dir.as_deref(), Some("out"));
-        // Without the flag the default destination (repo root) remains.
-        assert!(parse(&[]).json_dir.is_some());
+        // Without the flag there is no destination.
+        assert!(parse(&[]).json_dir.is_none());
     }
 
     #[test]

@@ -98,9 +98,16 @@ impl Dbsvec {
     }
 
     /// [`Dbsvec::fit`] with an observer receiving phase spans and events.
+    /// The `init` span opens before the kd-tree build, which ends with
+    /// [`Event::IndexBuilt`], so the trace covers the build too.
     pub fn fit_observed(&self, points: &PointSet, obs: &mut dyn Observer) -> DbsvecResult {
+        obs.span_enter(Phase::Init);
         let index = KdTree::build(points);
-        self.fit_with_index_observed(points, &index, obs)
+        obs.event(&Event::IndexBuilt {
+            points: points.len(),
+            nodes: index.node_count(),
+        });
+        self.fit_in_init(points, &index, obs)
     }
 
     /// Clusters `points` using a caller-provided range-query engine. The
@@ -116,9 +123,10 @@ impl Dbsvec {
     /// [`Dbsvec::fit_with_index`] with an observer. The observer sees five
     /// phases (`init` ⊃ `sv_expand` ⊃ `svdd_train`, then `noise_verify`,
     /// then `merge` for finalization) and every typed event the run emits.
-    /// The returned [`DbsvecStats`] are built from the same events (folded
-    /// by `dbsvec-obs`'s `ReplayCounts`), so a recorded stream replays to
-    /// exactly them.
+    /// `init` opens before the candidate draw, which a sampled fit ends
+    /// with [`Event::Sample`]. The returned [`DbsvecStats`] are built from
+    /// the same events (folded by `dbsvec-obs`'s `ReplayCounts`), so a
+    /// recorded stream replays to exactly them.
     pub fn fit_with_index_observed<I: RangeIndex>(
         &self,
         points: &PointSet,
@@ -132,6 +140,18 @@ impl Dbsvec {
             index.len(),
             points.len()
         );
+        obs.span_enter(Phase::Init);
+        self.fit_in_init(points, index, obs)
+    }
+
+    /// Algorithm 2 over `index` from the candidate draw on, inside the
+    /// `init` span the caller opened.
+    fn fit_in_init<I: RangeIndex>(
+        &self,
+        points: &PointSet,
+        index: &I,
+        obs: &mut dyn Observer,
+    ) -> DbsvecResult {
         // Sampled core discovery: draw the candidate subsample up front (a
         // pure function of the points and the seeded config). A draw
         // covering all n points — `Exact` mode included — leaves the mask
@@ -141,7 +161,6 @@ impl Dbsvec {
         let mut state = RunState::new(points, index, &self.config, obs);
 
         // ---- Initialization + expansion (Algorithm 2 lines 2–12).
-        state.obs.span_enter(Phase::Init);
         if let Some(ids) = sample {
             state.emit(Event::Sample {
                 candidates: ids.len(),

@@ -12,8 +12,12 @@
 //! * leaves hold up to [`KdTree::LEAF_SIZE`] points that are scanned
 //!   linearly — small leaves waste tree overhead, large leaves waste
 //!   distance computations; 16 is the conventional sweet spot,
-//! * nodes are plain structs in one array and their boxes sit in one flat
-//!   `Vec<f64>`, so a build allocates no memory per node,
+//! * nodes are plain structs in one pre-order array and their boxes sit in
+//!   one flat `Vec<f64>`, both sized once from n (the tree's shape depends
+//!   on n alone), so a build allocates no memory per node,
+//! * a node of at least [`KdTree::SPAWN_FLOOR`] points builds its two
+//!   halves at once, the right one on a scoped thread, each into its own
+//!   slots of those arrays; the tree is the same at every thread count,
 //! * the build and every traversal are compiled for the point width: each
 //!   width from 1 to 8 gets its own kernels, with constant-length loops,
 //!   and wider points run the same kernels at the run-time width
@@ -71,60 +75,51 @@ struct TreeCore {
 }
 
 impl TreeCore {
+    /// Builds the tree on up to `available_parallelism` threads; a tree
+    /// under [`KdTree::SPAWN_FLOOR`] points never asks how many there are.
     fn build(points: &PointSet) -> Self {
-        let n = points.len();
+        let floor = KdTree::SPAWN_FLOOR;
+        let threads = if points.len() >= floor {
+            std::thread::available_parallelism().map_or(1, |n| n.get())
+        } else {
+            1
+        };
+        Self::build_on(points, threads, floor)
+    }
+
+    /// Builds the tree on at most `threads` threads, the calling one
+    /// included, handing the right half of every node of at least `floor`
+    /// points to another thread while the budget lasts. The tree is the
+    /// same at every budget and floor.
+    fn build_on(points: &PointSet, threads: usize, floor: usize) -> Self {
+        let (n, dims) = (points.len(), points.dims());
+        let count = node_count(n);
+        let leaf = Node {
+            start: 0,
+            end: 0,
+            children: None,
+        };
         let mut core = Self {
-            nodes: Vec::new(),
-            boxes: Vec::new(),
-            dims: points.dims(),
+            nodes: vec![leaf; count],
+            boxes: vec![0.0; 2 * dims * count],
+            dims,
             ids: (0..n as u32).collect(),
         };
         if n > 0 {
-            // One key scratch serves every median selection of the build.
-            let sort = &mut KeyedSort::default();
-            with_width!(core.dims, D => core.build_node::<D>(points, 0, n, sort));
+            // One key scratch serves every median selection of the build;
+            // each subtree orders its run in its own part of it.
+            let (mut keys, mut order) = (vec![0.0; n], vec![0; n]);
+            let slots = Slots {
+                node: 0,
+                start: 0,
+                ids: &mut core.ids,
+                nodes: &mut core.nodes,
+                boxes: &mut core.boxes,
+                sort: KeyedSort::new(&mut keys, &mut order),
+            };
+            with_width!(dims, D => build_subtree::<D>(points, slots, threads, floor));
         }
         core
-    }
-
-    /// Builds the subtree over the non-empty run `ids[start..end]` and
-    /// returns its root: a leaf of at most [`KdTree::LEAF_SIZE`] points, or
-    /// a split at the median of the box's widest dimension.
-    fn build_node<const D: usize>(
-        &mut self,
-        points: &PointSet,
-        start: usize,
-        end: usize,
-        sort: &mut KeyedSort,
-    ) -> u32 {
-        let (flat, w) = (points.as_flat(), width::<D>(self.dims));
-        let node = self.nodes.len() as u32;
-        self.nodes.push(Node {
-            start: start as u32,
-            end: end as u32,
-            children: None,
-        });
-        let at = self.boxes.len();
-        let first = row(flat, self.ids[start], w);
-        self.boxes.extend_from_slice(first);
-        self.boxes.extend_from_slice(first);
-        let (lo, hi) = self.boxes[at..at + 2 * w].split_at_mut(w);
-        for &id in &self.ids[start + 1..end] {
-            bbox::expand_to_point(lo, hi, row(flat, id, w));
-        }
-        let len = end - start;
-        if len <= KdTree::LEAF_SIZE {
-            return node;
-        }
-        let dim = widest_dimension(lo, hi);
-        let mid = len / 2;
-        sort.select_nth(&mut self.ids[start..end], mid, |id| {
-            flat[id as usize * w + dim]
-        });
-        let left = self.build_node::<D>(points, start, start + mid, sort);
-        let right = self.build_node::<D>(points, start + mid, end, sort);
-        self.nodes[node as usize].children = Some((left, right));
-        node
     }
 
     /// Node `node`'s box as (lower corner, upper corner), at the kernel
@@ -365,6 +360,19 @@ impl<'a> KdTree<'a> {
     /// Maximum number of points stored in one leaf bucket.
     pub const LEAF_SIZE: usize = 16;
 
+    /// Minimum points in a node before the build hands the node's right
+    /// half to a scoped thread, given a thread budget of two or more (the
+    /// budget is `std::thread::available_parallelism`). A median split
+    /// leaves two equal, independent halves, so a split node builds both
+    /// at once. One scoped spawn plus its join costs about 35 µs on a
+    /// 2-vCPU VM (median of 2,000), and building a half of 2¹⁶ 8-d points
+    /// takes about 10 ms there, so at the floor a spawn costs well under 1%
+    /// of the work it moves. The floor sits above 10⁵: at 2¹⁶ the root of
+    /// a 10⁵-point fit split too, and that fit got no faster end to end
+    /// while its CPU time rose. A 10⁶-point fit's root splits; a serving
+    /// engine's trees of a few thousand cores stay on the calling thread.
+    pub const SPAWN_FLOOR: usize = 1 << 17;
+
     /// Builds the tree in O(n log n).
     pub fn build(points: &'a PointSet) -> Self {
         Self {
@@ -490,6 +498,150 @@ fn widest_dimension(lo: &[f64], hi: &[f64]) -> usize {
         }
     }
     best
+}
+
+/// The number of nodes of the tree over `len` points. A run of at most
+/// [`KdTree::LEAF_SIZE`] points is one leaf, and a longer run is one node
+/// over its two halves, so the count depends on `len` alone.
+fn node_count(len: usize) -> usize {
+    if len == 0 {
+        0
+    } else {
+        node_counts(len).0
+    }
+}
+
+/// `(node_count(m), node_count(m + 1))` for `m ≥ 1`, in O(log m): halving
+/// `m` and `m + 1` gives runs of ⌊m/2⌋ and ⌊m/2⌋ + 1 points only.
+fn node_counts(m: usize) -> (usize, usize) {
+    if m < KdTree::LEAF_SIZE {
+        return (1, 1);
+    }
+    let (h, h1) = node_counts(m / 2);
+    let (at_m, at_m1) = if m % 2 == 0 {
+        (1 + 2 * h, 1 + h + h1)
+    } else {
+        (1 + h + h1, 1 + 2 * h1)
+    };
+    (if m <= KdTree::LEAF_SIZE { 1 } else { at_m }, at_m1)
+}
+
+/// The slices one subtree of the build writes. A median-split tree's shape
+/// depends only on its number of points ([`node_count`]), so a subtree's
+/// slots in the pre-order node and box arrays are known before it is
+/// built, and disjoint subtrees can be built at the same time.
+struct Slots<'a> {
+    /// The subtree root's node id: its slot in the whole tree.
+    node: usize,
+    /// Where the subtree's run starts in the whole tree's id array.
+    start: usize,
+    /// The subtree's run of ids.
+    ids: &'a mut [PointId],
+    /// The subtree's nodes, its root first.
+    nodes: &'a mut [Node],
+    /// The subtree's node boxes, in node order.
+    boxes: &'a mut [f64],
+    /// Key scratch for the run's median selections.
+    sort: KeyedSort<'a>,
+}
+
+impl<'a> Slots<'a> {
+    /// The slots of the two subtrees below this one's root, the left one
+    /// over the first `mid` ids, for `w`-wide boxes. `self` must already
+    /// start one node (and one box) past the root.
+    fn halves(self, mid: usize, w: usize) -> (Slots<'a>, Slots<'a>) {
+        let left_nodes = node_count(mid);
+        let (left_ids, right_ids) = self.ids.split_at_mut(mid);
+        let (left_node_slots, right_node_slots) = self.nodes.split_at_mut(left_nodes);
+        let (left_boxes, right_boxes) = self.boxes.split_at_mut(2 * w * left_nodes);
+        let (left_sort, right_sort) = self.sort.split_at_mut(mid);
+        (
+            Slots {
+                node: self.node,
+                start: self.start,
+                ids: left_ids,
+                nodes: left_node_slots,
+                boxes: left_boxes,
+                sort: left_sort,
+            },
+            Slots {
+                node: self.node + left_nodes,
+                start: self.start + mid,
+                ids: right_ids,
+                nodes: right_node_slots,
+                boxes: right_boxes,
+                sort: right_sort,
+            },
+        )
+    }
+}
+
+/// Builds the subtree over the non-empty run `slots.ids` into its slots: a
+/// leaf of at most [`KdTree::LEAF_SIZE`] points, or a split at the median
+/// of the box's widest dimension. A run of at least `floor` points with a
+/// budget of two or more threads builds its right half on a scoped thread
+/// with half the budget, and its left half on this thread with the rest.
+fn build_subtree<const D: usize>(
+    points: &PointSet,
+    slots: Slots<'_>,
+    threads: usize,
+    floor: usize,
+) {
+    let (flat, w) = (points.as_flat(), width::<D>(points.dims()));
+    let Slots {
+        node,
+        start,
+        ids,
+        nodes,
+        boxes,
+        mut sort,
+    } = slots;
+    let len = ids.len();
+    let (root_box, boxes) = boxes.split_at_mut(2 * w);
+    let (lo, hi) = root_box.split_at_mut(w);
+    let first = row(flat, ids[0], w);
+    lo.copy_from_slice(first);
+    hi.copy_from_slice(first);
+    for &id in &ids[1..] {
+        bbox::expand_to_point(lo, hi, row(flat, id, w));
+    }
+    let (root, nodes) = nodes.split_first_mut().expect("a slot for the root");
+    *root = Node {
+        start: start as u32,
+        end: (start + len) as u32,
+        children: None,
+    };
+    if len <= KdTree::LEAF_SIZE {
+        return;
+    }
+    let dim = widest_dimension(lo, hi);
+    let mid = len / 2;
+    sort.select_nth(ids, mid, |id| flat[id as usize * w + dim]);
+    let below = Slots {
+        node: node + 1,
+        start,
+        ids,
+        nodes,
+        boxes,
+        sort,
+    };
+    let (left, right) = below.halves(mid, w);
+    root.children = Some((left.node as u32, right.node as u32));
+    if len < floor || threads < 2 {
+        build_subtree::<D>(points, left, threads, floor);
+        build_subtree::<D>(points, right, threads, floor);
+        return;
+    }
+    let right_threads = threads / 2;
+    std::thread::scope(|scope| {
+        let worker = scope.spawn(|| build_subtree::<D>(points, right, right_threads, floor));
+        build_subtree::<D>(points, left, threads - right_threads, floor);
+        // Re-raise the worker's own panic (a NaN coordinate, say) rather
+        // than the scope's generic one.
+        if let Err(panic) = worker.join() {
+            std::panic::resume_unwind(panic);
+        }
+    });
 }
 
 #[cfg(test)]
@@ -761,6 +913,98 @@ mod tests {
                     "d={dims} n={n}: nodes"
                 );
             }
+        }
+    }
+
+    /// Points of `dims` coordinates drawn by `coordinate`, seeded as in
+    /// `build_reproduces_the_recursive_build`.
+    fn drawn_points(n: usize, dims: usize, coordinate: fn(&mut SplitMix64) -> f64) -> PointSet {
+        let mut rng = SplitMix64::new(n as u64 * 31 + dims as u64);
+        PointSet::from_flat(dims, (0..n * dims).map(|_| coordinate(&mut rng)).collect())
+    }
+
+    #[test]
+    fn every_thread_budget_builds_the_recursive_tree() {
+        type Coordinate = fn(&mut SplitMix64) -> f64;
+        let inputs: [(&str, Coordinate); 3] = [
+            ("random", |rng| rng.next_f64() * 100.0),
+            ("lattice", |rng| rng.next_below(5) as f64),
+            ("identical", |_| 7.0),
+        ];
+        let check =
+            |core: &TreeCore, (want_nodes, want_ids): &(Vec<RefNode>, Vec<PointId>), case| {
+                assert!(&core.ids == want_ids, "{case}: leaf id order");
+                assert!(&post_order(core) == want_nodes, "{case}: nodes");
+            };
+        // With a floor of 256 points every node of 5,000 points down to
+        // runs of 312 may split, so every budget spawns as many halves as
+        // it allows, nested ones included, on every input and width.
+        for (name, coordinate) in inputs {
+            for dims in [1, 2, 8, 12] {
+                let points = drawn_points(5_000, dims, coordinate);
+                let want = reference_build(&points);
+                for threads in [1, 2, 3, 4, 8] {
+                    let case = format!("{name} d={dims} threads={threads} floor=256");
+                    check(&TreeCore::build_on(&points, threads, 256), &want, case);
+                }
+            }
+        }
+        // Around the real floor: the root splits from `floor` points on,
+        // and under 2·floor points nothing below it does, so every budget
+        // of two or more builds these trees as two does.
+        let floor = KdTree::SPAWN_FLOOR;
+        for n in [70_000, floor - 1, floor, floor + 1] {
+            let points = drawn_points(n, 2, inputs[0].1);
+            let want = reference_build(&points);
+            for threads in [1, 2] {
+                let case = format!("random d=2 n={n} threads={threads}");
+                check(&TreeCore::build_on(&points, threads, floor), &want, case);
+            }
+            if n == floor + 1 {
+                // The owning tree takes the same build as the borrowing one.
+                let owned = OwnedKdTree::build(points.clone());
+                check(&owned.core, &want, format!("owned n={n}"));
+            }
+        }
+    }
+
+    #[test]
+    fn the_node_count_from_n_is_the_built_count() {
+        // `post_order` reaches every slot from the root, so a slot the
+        // build left unfilled fails here, and a missing one panics the
+        // build.
+        let same = |_: &mut SplitMix64| 1.0;
+        for n in (0..=4_096).chain([1_000_000]) {
+            let core = TreeCore::build(&drawn_points(n, 1, same));
+            assert_eq!(post_order(&core).len(), node_count(n), "n={n}");
+        }
+    }
+
+    #[test]
+    fn a_nan_in_a_spawned_half_panics_as_on_the_calling_thread() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        // The root splits x, and with the floor at n only the root hands
+        // its right half to a worker. That half is narrow in x and wide in
+        // y, so it splits y first, and its last point's y is NaN.
+        let n = 1_000;
+        let mut flat = Vec::with_capacity(2 * n);
+        for i in 0..n {
+            if i < n / 2 {
+                flat.extend([i as f64 * 1e-3, (i % 7) as f64 * 0.1]);
+            } else {
+                flat.extend([1_000.0 + (i % 3) as f64 * 0.1, (i % 50) as f64]);
+            }
+        }
+        flat[2 * n - 1] = f64::NAN;
+        let points = PointSet::from_flat(2, flat);
+        for threads in [1, 2] {
+            let panic = catch_unwind(AssertUnwindSafe(|| TreeCore::build_on(&points, threads, n)))
+                .expect_err("a NaN key must panic");
+            let message = panic
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| panic.downcast_ref::<String>().map(String::as_str));
+            assert_eq!(message, Some("NaN coordinate"), "threads={threads}");
         }
     }
 

@@ -13,21 +13,42 @@
 
 use std::cmp::Ordering;
 
-/// Scratch for ordering a tile on a dense copy of its keys; it grows to the
-/// largest tile ordered through it and is freed with the build.
-#[derive(Default)]
-pub(crate) struct KeyedSort {
-    keys: Vec<f64>,
-    order: Vec<u32>,
+/// Scratch for ordering a tile on a dense copy of its keys: room for one
+/// key and one position per id, borrowed from the caller. A build sizes it
+/// once for its largest tile, and the kd-tree build hands each half of a
+/// run the matching half of its parent's scratch
+/// ([`KeyedSort::split_at_mut`]), so halves built on other threads need no
+/// scratch of their own.
+pub(crate) struct KeyedSort<'a> {
+    keys: &'a mut [f64],
+    order: &'a mut [u32],
 }
 
-impl KeyedSort {
+impl<'a> KeyedSort<'a> {
+    /// Scratch over `keys` and `order`, which must be equally long: the
+    /// longest tile it can order.
+    pub(crate) fn new(keys: &'a mut [f64], order: &'a mut [u32]) -> Self {
+        assert_eq!(keys.len(), order.len(), "one key per position");
+        Self { keys, order }
+    }
+
+    /// Splits the scratch into room for the first `mid` ids and room for
+    /// the rest.
+    pub(crate) fn split_at_mut(self, mid: usize) -> (KeyedSort<'a>, KeyedSort<'a>) {
+        let (keys_left, keys_right) = self.keys.split_at_mut(mid);
+        let (order_left, order_right) = self.order.split_at_mut(mid);
+        (
+            KeyedSort::new(keys_left, order_left),
+            KeyedSort::new(keys_right, order_right),
+        )
+    }
+
     /// Sorts `tile` by `key`, leaving it in exactly the order
     /// `tile.sort_unstable_by(|a, b| key(a).partial_cmp(&key(b)))` would.
     ///
     /// # Panics
     ///
-    /// Panics on a NaN key.
+    /// Panics on a NaN key, or if `tile` is longer than the scratch.
     pub(crate) fn sort(&mut self, tile: &mut [u32], key: impl Fn(u32) -> f64) {
         self.arrange(tile, key, |order, keys| {
             order.sort_unstable_by(|&a, &b| compare(keys, a, b));
@@ -40,7 +61,8 @@ impl KeyedSort {
     ///
     /// # Panics
     ///
-    /// Panics on a NaN key, or if `nth >= tile.len()`.
+    /// Panics on a NaN key, if `nth >= tile.len()`, or if `tile` is longer
+    /// than the scratch.
     pub(crate) fn select_nth(&mut self, tile: &mut [u32], nth: usize, key: impl Fn(u32) -> f64) {
         self.arrange(tile, key, |order, keys| {
             order.select_nth_unstable_by(nth, |&a, &b| compare(keys, a, b));
@@ -55,15 +77,19 @@ impl KeyedSort {
         key: impl Fn(u32) -> f64,
         by: impl FnOnce(&mut [u32], &[f64]),
     ) {
-        self.keys.clear();
-        self.keys.extend(tile.iter().map(|&e| key(e)));
-        self.order.clear();
-        self.order.extend(0..tile.len() as u32);
-        by(&mut self.order, &self.keys);
-        for p in &mut self.order {
+        let keys = &mut self.keys[..tile.len()];
+        let order = &mut self.order[..tile.len()];
+        for (k, &e) in keys.iter_mut().zip(tile.iter()) {
+            *k = key(e);
+        }
+        for (p, position) in order.iter_mut().zip(0..) {
+            *p = position;
+        }
+        by(order, keys);
+        for p in order.iter_mut() {
             *p = tile[*p as usize];
         }
-        tile.copy_from_slice(&self.order);
+        tile.copy_from_slice(order);
     }
 }
 
@@ -82,7 +108,8 @@ mod tests {
     #[test]
     fn keyed_sort_keeps_the_order_of_equal_keys() {
         let mut rng = SplitMix64::new(0x5EED);
-        let mut sort = KeyedSort::default();
+        let (mut keys_scratch, mut order_scratch) = (vec![0.0; 300], vec![0; 300]);
+        let mut sort = KeyedSort::new(&mut keys_scratch, &mut order_scratch);
         for len in [0usize, 1, 2, 19, 20, 21, 300] {
             let keys: Vec<f64> = (0..len).map(|_| rng.next_below(3) as f64).collect();
             // Ids in scrambled order, keyed by id.
@@ -99,7 +126,8 @@ mod tests {
     #[test]
     fn keyed_select_matches_a_select_through_the_keys() {
         let mut rng = SplitMix64::new(0xC0DE);
-        let mut sort = KeyedSort::default();
+        let (mut keys_scratch, mut order_scratch) = (vec![0.0; 5_000], vec![0; 5_000]);
+        let mut sort = KeyedSort::new(&mut keys_scratch, &mut order_scratch);
         for len in [1usize, 2, 17, 33, 300, 5_000] {
             for distinct in [2u64, 1_000_000] {
                 let keys: Vec<f64> = (0..len).map(|_| rng.next_below(distinct) as f64).collect();

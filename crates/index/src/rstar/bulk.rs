@@ -35,7 +35,9 @@ pub(crate) fn str_bulk_load(points: &PointSet) -> RStarTree<'_> {
 
     // ---- Leaf level: tile the whole set, one leaf per final tile.
     let mut ids: Vec<PointId> = (0..n as u32).collect();
-    let mut sort = KeyedSort::default();
+    // The first sort orders all n ids; every later tile is shorter.
+    let (mut keys, mut order) = (vec![0.0; n], vec![0; n]);
+    let mut sort = KeyedSort::new(&mut keys, &mut order);
     let mut nodes: Vec<Node> = Vec::new();
     tile_on(&mut ids, 0, dims, &coord, &mut sort, &mut |leaf| {
         nodes.push(leaf_node(points, leaf));
@@ -75,7 +77,7 @@ fn tile_on(
     d: usize,
     dims: usize,
     key: &impl Fn(u32, usize) -> f64,
-    sort: &mut KeyedSort,
+    sort: &mut KeyedSort<'_>,
     emit: &mut impl FnMut(&[u32]),
 ) {
     if d == dims {

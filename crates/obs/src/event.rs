@@ -185,8 +185,18 @@ event_table! {
             /// `true` if confirmed noise, `false` if attached as a border point.
             confirmed: bool,
         },
+        /// A fit finished building its range index (fires once, first thing
+        /// inside initialization, when the fit builds the index itself).
+        /// The time from the `init` enter to this event is the build's.
+        IndexBuilt = "index_built" {
+            /// Points indexed.
+            points: usize,
+            /// Nodes of the built tree.
+            nodes: usize,
+        },
         /// A sampled fit drew its core-candidate subsample (fires once, at the
-        /// start of initialization; exact fits never emit it).
+        /// start of initialization, after any index build; exact fits never
+        /// emit it).
         Sample = "sample" {
             /// Candidates drawn.
             candidates: usize,
@@ -487,6 +497,14 @@ mod tests {
             }
             .name(),
             "sample"
+        );
+        assert_eq!(
+            Event::IndexBuilt {
+                points: 1000,
+                nodes: 127
+            }
+            .name(),
+            "index_built"
         );
         assert_eq!(
             Event::Attach {

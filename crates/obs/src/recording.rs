@@ -32,6 +32,15 @@ pub enum Record {
     },
 }
 
+impl Record {
+    /// When the callback arrived, since the observer was created.
+    pub fn at(&self) -> Duration {
+        match self {
+            Record::Enter { at, .. } | Record::Exit { at, .. } | Record::Event { at, .. } => *at,
+        }
+    }
+}
+
 /// Wall-clock totals for one phase, aggregated over all its spans.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PhaseTimings {

@@ -131,6 +131,9 @@ impl ReplayCounts {
                     self.noise_confirmed += 1;
                 }
             }
+            // The index's size is not a cost of the fit; `--profile` times
+            // the build from the event's timestamp instead.
+            Event::IndexBuilt { .. } => {}
             Event::Sample { candidates, .. } => self.sampled_candidates += *candidates as u64,
             Event::Attach { attached, .. } => {
                 self.attachment_candidates += 1;
@@ -332,6 +335,15 @@ mod tests {
         assert_eq!(c.attachment_candidates, 3);
         assert_eq!(c.attached_points, 2);
         assert!((c.theta(20) - 0.1).abs() < 1e-12);
+    }
+
+    #[test]
+    fn an_index_build_counts_nothing() {
+        let built = Event::IndexBuilt {
+            points: 1_000,
+            nodes: 127,
+        };
+        assert_eq!(ReplayCounts::from_events([&built]), ReplayCounts::default());
     }
 
     #[test]

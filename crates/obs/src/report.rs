@@ -3,8 +3,8 @@
 use std::fmt;
 use std::time::Duration;
 
-use crate::event::Phase;
-use crate::recording::{PhaseTimings, RecordingObserver};
+use crate::event::{Event, Phase};
+use crate::recording::{PhaseTimings, Record, RecordingObserver};
 use crate::replay::ReplayCounts;
 
 /// A finished run's profile: per-phase wall-clock plus the replayed cost
@@ -18,11 +18,35 @@ pub struct ProfileReport {
     pub phases: Vec<(Phase, PhaseTimings)>,
     /// The counters replayed from the recorded events.
     pub counts: ReplayCounts,
+    /// The fit's index build, from the [`Event::IndexBuilt`] that ends it:
+    /// (points, nodes, time since the record before the event, the `init`
+    /// enter).
+    pub index_build: Option<(usize, usize, Duration)>,
+    /// The sampled fit's candidate draw, from the [`Event::Sample`] that
+    /// ends it: the time since the record before the event.
+    pub draw: Option<Duration>,
 }
 
 impl ProfileReport {
     /// Builds the report from a recording of the run.
     pub fn from_recording(recorder: &RecordingObserver, n: usize) -> Self {
+        let (mut index_build, mut draw) = (None, None);
+        let mut before = Duration::ZERO;
+        for record in recorder.records() {
+            let took = record.at().saturating_sub(before);
+            match record {
+                Record::Event {
+                    event: Event::IndexBuilt { points, nodes },
+                    ..
+                } => index_build = Some((*points, *nodes, took)),
+                Record::Event {
+                    event: Event::Sample { .. },
+                    ..
+                } => draw = Some(took),
+                _ => {}
+            }
+            before = record.at();
+        }
         let measured = recorder.phase_timings();
         let phases = Phase::ALL
             .iter()
@@ -39,6 +63,8 @@ impl ProfileReport {
             n,
             phases,
             counts: recorder.replay(),
+            index_build,
+            draw,
         }
     }
 
@@ -88,6 +114,24 @@ impl fmt::Display for ProfileReport {
             fmt_duration(self.total_time()),
             "100.0%"
         )?;
+        if let Some((points, nodes, took)) = self.index_build {
+            writeln!(
+                f,
+                "{:<14} {:>6} {:>12}   {points} points, {nodes} nodes (in init)",
+                "index build",
+                "",
+                fmt_duration(took)
+            )?;
+        }
+        if let Some(took) = self.draw {
+            writeln!(
+                f,
+                "{:<14} {:>6} {:>12}   (in init)",
+                "candidate draw",
+                "",
+                fmt_duration(took)
+            )?;
+        }
         writeln!(f)?;
         let c = &self.counts;
         writeln!(
@@ -261,6 +305,36 @@ mod tests {
             sampled.contains("sampled candidates 2 | attachment candidates 1 | attached 1"),
             "missing sampling line in:\n{sampled}"
         );
+    }
+
+    #[test]
+    fn the_build_and_the_draw_are_timed_from_their_events() {
+        let mut rec = RecordingObserver::new();
+        rec.span_enter(Phase::Init);
+        let plain = ProfileReport::from_recording(&rec, 4).to_string();
+        assert!(!plain.contains("index build"), "unexpected:\n{plain}");
+        std::thread::sleep(Duration::from_millis(3));
+        rec.event(&Event::IndexBuilt {
+            points: 4,
+            nodes: 1,
+        });
+        rec.event(&Event::Sample {
+            candidates: 2,
+            total: 4,
+            rate_e6: 500_000,
+        });
+        rec.span_exit(Phase::Init);
+        let report = ProfileReport::from_recording(&rec, 4);
+        let (points, nodes, build) = report.index_build.expect("a timed build");
+        assert_eq!((points, nodes), (4, 1));
+        assert!(build >= Duration::from_millis(3), "{build:?}");
+        assert!(report.draw.is_some(), "a timed draw");
+        let text = report.to_string();
+        assert!(
+            text.contains("4 points, 1 nodes (in init)"),
+            "missing build line in:\n{text}"
+        );
+        assert!(text.contains("candidate draw"), "missing draw in:\n{text}");
     }
 
     #[test]

@@ -51,6 +51,10 @@ fn one_of_each() -> Vec<Event> {
             total: 72,
             rate_e6: 73,
         },
+        Event::IndexBuilt {
+            points: 201,
+            nodes: 202,
+        },
         Event::Attach {
             point: 81,
             attached: false,
@@ -152,6 +156,10 @@ fn pinned_text(event: &Event) -> &'static str {
             total: _,
             rate_e6: _,
         } => r#"{"event":"sample","candidates":71,"total":72,"rate_e6":73}"#,
+        Event::IndexBuilt {
+            points: _,
+            nodes: _,
+        } => r#"{"event":"index_built","points":201,"nodes":202}"#,
         Event::Attach {
             point: _,
             attached: _,
@@ -207,7 +215,7 @@ fn jsonl_wire_text_of_every_variant_is_pinned() {
     let mut names: Vec<&str> = events.iter().map(Event::name).collect();
     names.sort_unstable();
     names.dedup();
-    assert_eq!(names.len(), 19, "one instance of each of the 19 variants");
+    assert_eq!(names.len(), 20, "one instance of each of the 20 variants");
     for event in &events {
         let json = event_to_json(event);
         assert_eq!(json.to_string(), pinned_text(event), "{}", event.name());

@@ -4,8 +4,9 @@
 
 use std::cell::RefCell;
 
+use dbsvec::core::DbsvecStats;
 use dbsvec::datasets::gaussian_mixture;
-use dbsvec::index::{LinearScan, RangeIndex};
+use dbsvec::index::{KdTree, LinearScan, RangeIndex};
 use dbsvec::obs::{Event, JsonlSink, Phase, Record, RecordingObserver, ReplayCounts, Tee};
 use dbsvec::{Dbsvec, DbsvecConfig, PointId};
 
@@ -181,4 +182,35 @@ fn a_non_sync_index_sees_the_traced_probes_in_order() {
         .collect();
     assert_eq!(probes.len() as u64, result.stats().range_queries);
     assert_eq!(index.log.into_inner(), probes);
+}
+
+#[test]
+fn a_sampled_fit_traces_the_build_and_the_draw_before_its_first_query() {
+    let ds = gaussian_mixture(2500, 8, 5, 900.0, 1e5, 11);
+    let eps = dbsvec::datasets::standins::suggest_eps(&ds.points, 10, 2);
+    let config = DbsvecConfig::new(eps, 10).with_uniform_sampling(0.25, 3);
+    let mut recorder = RecordingObserver::new();
+    let result = Dbsvec::new(config).fit_observed(&ds.points, &mut recorder);
+    let opening: Vec<String> = recorder.records()[..4]
+        .iter()
+        .map(|record| match record {
+            Record::Enter { phase, .. } => format!("enter {}", phase.name()),
+            Record::Exit { phase, .. } => format!("exit {}", phase.name()),
+            Record::Event { event, .. } => event.name().to_string(),
+        })
+        .collect();
+    assert_eq!(
+        opening,
+        ["enter init", "index_built", "sample", "range_query"]
+    );
+    let Record::Event {
+        event: Event::IndexBuilt { points, nodes },
+        ..
+    } = recorder.records()[1]
+    else {
+        unreachable!("checked above");
+    };
+    assert_eq!(points, ds.points.len());
+    assert_eq!(nodes, KdTree::build(&ds.points).node_count());
+    assert_eq!(DbsvecStats::from(&recorder.replay()), *result.stats());
 }
